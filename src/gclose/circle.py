@@ -26,7 +26,7 @@ __all__ = [
     "SurdSum",
     "CFExpansion",
     "DEFAULT_TOLERANCE",
-    "normalize",
+    "pair",
     "add",
     "int_mul",
     "norm",
@@ -257,11 +257,6 @@ class CirclePoint:
         return f"quad:({self.num}{sign}{abs(b)}*sqrt({self.surd}))/{self.den}"
 
 
-def normalize(raw_num: int, raw_den: int) -> CirclePoint:
-    """Canonical rational point for raw_num/raw_den."""
-    return CirclePoint.rational(raw_num, raw_den)
-
-
 def add(x: CirclePoint, y: CirclePoint) -> CirclePoint:
     """Sum in R/Z.  Quadratic inputs must share the same surd base."""
     if not x.is_rational and not y.is_rational and x.surd != y.surd:
@@ -407,14 +402,24 @@ class SurdSum:
         return -y.cmp(1 - Fraction(fr))
 
     def norm_enclosure(self, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
-        y = self.mod1()
-        if not y.terms:
-            r = y.rat
+        if not self.terms:
+            r = self.rat % 1
             return Enclosure.point(min(r, 1 - r))
+        y = self.mod1()
         e = y.enclosure(tol)
         if y.cmp(_HALF) < 0:
             return Enclosure.interval(max(Fraction(0), e.lower), min(e.upper, _HALF))
         return Enclosure.interval(max(Fraction(0), 1 - e.upper), min(1 - e.lower, _HALF))
+
+
+def pair(term: tuple[int, ...], points: tuple[CirclePoint, ...]) -> SurdSum:
+    """<term, points> = sum of term_i * points_i as an exact real, to be read
+    mod 1: the one pairing of integer vectors with characters and points."""
+    total = SurdSum()
+    for coeff, point in zip(term, points):
+        if coeff:
+            total = total + SurdSum.from_point(point, coeff)
+    return total
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .circle import CirclePoint, SurdSum
+from .circle import CirclePoint, SurdSum, pair
 
 __all__ = [
     "DualityError",
@@ -36,11 +36,6 @@ __all__ = [
     "closure_in_dual",
     "von_neumann_radical",
 ]
-
-# When set, smith_normal_form re-verifies its postconditions on every call.
-# Test fixtures switch this on; production paths rely on the tested algorithm.
-VERIFY_POSTCONDITIONS = False
-
 
 class DualityError(ValueError):
     """Invalid group, character, or lattice input."""
@@ -226,29 +221,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     um = IntMatrix.from_rows(u, rows)
     dm = IntMatrix.from_rows(a, cols)
     vm = IntMatrix.from_rows(v, cols)
-    if VERIFY_POSTCONDITIONS:
-        _check_snf(m, um, dm, vm)
     return um, dm, vm
-
-
-def _check_snf(m, u, d, v):
-    if (u @ m) @ v != d:
-        raise AssertionError("SNF factorization mismatch")
-    if not u.is_unimodular() or not v.is_unimodular():
-        raise AssertionError("SNF transform not unimodular")
-    diag = d.diagonal()
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j and d.entries[i][j]:
-                raise AssertionError("SNF result not diagonal")
-    for x in diag:
-        if x < 0:
-            raise AssertionError("SNF diagonal entry negative")
-    for x, y in zip(diag, diag[1:]):
-        if x and y % x:
-            raise AssertionError("SNF divisibility chain broken")
-        if x == 0 and y != 0:
-            raise AssertionError("SNF zero entry precedes nonzero")
 
 
 def row_hnf(m: IntMatrix) -> IntMatrix:
@@ -451,10 +424,7 @@ class Character:
         """chi(vec) as an exact real, to be read mod 1."""
         if len(vec) != ambient.ncoords:
             raise DualityError("coordinate vector has wrong length")
-        total = SurdSum()
-        for point, coord in zip(self.free, vec[: ambient.free_rank]):
-            if coord:
-                total = total + SurdSum.from_point(point, int(coord))
+        total = pair(vec[: ambient.free_rank], self.free)
         for k, d, coord in zip(
             self.torsion, ambient.invariant_factors, vec[ambient.free_rank :]
         ):

@@ -16,6 +16,14 @@ finite cyclic group and are decided by residue automata with cycle
 detection; quadratic orbits along continued-fraction denominators are
 decided through the classical approximation bound |q_n*alpha - p_n| <
 1/q_{n+1}.
+
+One function, _verify_terms, evaluates every certificate claim.  For a
+sequence u on Z^k, generators h and N >= 1 terms it checks exactly, for
+each n < N: u_n = eval_seq(u, n) is a nonzero vector of length k;
+norm(<u_n, h>) <= 2^-n for every h; given an escape character chi,
+len(chi) = k, 0 < delta <= 1/2 and norm(<u_n, chi>) >= delta.  Producers
+run it on their own output; re-checkers run it and compare each stored
+index, term, envelope and threshold with n, u_n, 2^-n and delta.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .circle import (
     CirclePoint,
     SurdSum,
     cf_expand,
+    pair,
 )
 from .duality import PrecompactTopology, von_neumann_radical
 
@@ -606,22 +615,29 @@ def _run_cycle(machine, cap: int = _STATE_CAP):
         machine.advance()
 
 
-def _verdict_from_cycle(residues, first, period, q) -> Verdict:
+def _summarize_cycle(residues, first, period, q) -> tuple[int, Fraction, int]:
+    """(best, norm, index) of a residue orbit mod q with cycle [first, first+period):
+    (0, 0, n0) for an all-zero cycle, n0 one past the last nonzero residue;
+    else the cycle residue of largest norm (smaller on ties) at its first index."""
     cycle = residues[first : first + period]
     if not any(cycle):
         nz = [i for i, v in enumerate(residues) if v]
-        start = max(nz) + 1 if nz else 0
+        return 0, Fraction(0), max(nz) + 1 if nz else 0
+    best = max((v for v in cycle if v), key=lambda v: (min(v, q - v), -v))
+    return best, Fraction(min(best, q - best), q), first + cycle.index(best)
+
+
+def _verdict_from_cycle(residues, first, period, q) -> Verdict:
+    best, norm, idx = _summarize_cycle(residues, first, period, q)
+    if not best:
         return Verdict.exact_in(
-            f"pairing = 0 (mod 1) for all n >= {start}; the residue orbit mod {q} "
+            f"pairing = 0 (mod 1) for all n >= {idx}; the residue orbit mod {q} "
             f"enters an all-zero cycle (pre-period {first}, period {period})",
-            from_index=start,
+            from_index=idx,
             preperiod=first,
             period=period,
             modulus=q,
         )
-    best = max((v for v in cycle if v), key=lambda v: (min(v, q - v), -v))
-    norm = Fraction(min(best, q - best), q)
-    idx = first + cycle.index(best)
     return Verdict.exact_out(
         f"pairing norm = {norm} at n = {idx}, recurring with period {period} "
         f"(residue {best} mod {q})",
@@ -635,22 +651,6 @@ def _verdict_from_cycle(residues, first, period, q) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # the decision ladder
-
-
-def _pairing(u: IntVecSeq, x: tuple[CirclePoint, ...], n: int) -> SurdSum:
-    term = u.term(n)
-    total = SurdSum()
-    for coeff, point in zip(term, x):
-        if coeff:
-            total = total + SurdSum.from_point(point, coeff)
-    return total
-
-
-def _norm_upper(value: SurdSum, tol: Fraction) -> Fraction:
-    if value.is_rational():
-        r = value.mod1().rat
-        return min(r, 1 - r)
-    return value.norm_enclosure(tol).upper
 
 
 def _tail_scan(uppers: list[Fraction], horizon: int, tol: Fraction) -> Verdict:
@@ -688,7 +688,7 @@ def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Ve
             from_index=0,
             sequence_horizon=0,
         )
-    values = [_pairing(u, x, n) for n in range(h)]
+    values = [pair(u.term(n), x) for n in range(h)]
     integral = [v.is_rational() and v.rat.denominator == 1 for v in values]
     t = h
     while t > 0 and integral[t - 1]:
@@ -700,14 +700,15 @@ def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Ve
             from_index=t,
             sequence_horizon=h,
         )
-    uppers = [_norm_upper(v, policy.tolerance / 4) for v in values]
+    uppers = [v.norm_enclosure(policy.tolerance / 4).upper for v in values]
     return _tail_scan(uppers, h, policy.tolerance)
 
 
 def _scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
     n = policy.horizon
     uppers = [
-        _norm_upper(_pairing(u, x, i), policy.tolerance / 4) for i in range(n)
+        pair(u.term(i), x).norm_enclosure(policy.tolerance / 4).upper
+        for i in range(n)
     ]
     return _tail_scan(uppers, n, policy.tolerance)
 
@@ -754,39 +755,37 @@ def _decide_rational(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -
     return _verdict_from_cycle(residues, first, period, q)
 
 
-def _decide_cf_quadratic(
-    alpha: CirclePoint, A: int, B: int, x: CirclePoint, u: IntVecSeq
-) -> Verdict:
-    """x = m*alpha + r in the same quadratic field; q_n*x = (m*p_n + r*q_n)
-    + m*(q_n*alpha - p_n), and the bracket lives in (1/L)Z."""
+def _pair_split(
+    alpha: CirclePoint, x: CirclePoint
+) -> tuple[Fraction, Fraction, int, _PairMachine]:
+    """x = m*alpha + r in alpha's quadratic field, so q_n*x = (m*p_n + r*q_n)
+    + m*(q_n*alpha - p_n); the bracket lives in (1/L)Z.  Returns m, r, L and
+    the automaton of its numerators mod L along the convergents."""
     m = Fraction(x.surd_coeff * alpha.den, x.den * alpha.surd_coeff)
     r = Fraction(x.num, x.den) - m * Fraction(alpha.num, alpha.den)
     L = lcm(m.denominator, r.denominator)
-    cp = int(m * L)
-    cq = int(r * L)
-    cf = _expansion(alpha)
-    machine = _StrideMachine(_PairMachine(cf, cp, cq, L), A, B)
-    run = _run_cycle(machine)
+    return m, r, L, _PairMachine(_expansion(alpha), int(m * L), int(r * L), L)
+
+
+def _decide_cf_quadratic(alpha: CirclePoint, A: int, B: int, x: CirclePoint) -> Verdict:
+    """Decide q_(A*n+B)*x through the pair automaton of _pair_split."""
+    m, r, L, pairs = _pair_split(alpha, x)
+    run = _run_cycle(_StrideMachine(pairs, A, B))
     if run is None:  # unreachable for quadratics; defensive
         raise AssertionError("quadratic pair automaton failed to cycle")
     residues, first, period = run
-    cycle = residues[first : first + period]
-    if not any(cycle):
-        nz = [i for i, v in enumerate(residues) if v]
-        start = max(nz) + 1 if nz else 0
+    best, vnorm, idx = _summarize_cycle(residues, first, period, L)
+    if not best:
         return Verdict.exact_in(
-            f"<u_n, x> = R_n/{L} + m*theta_n with R_n = 0 for all n >= {start} "
+            f"<u_n, x> = R_n/{L} + m*theta_n with R_n = 0 for all n >= {idx} "
             f"and |theta_n| < 1/q_(A*n+B+1) -> 0 (m = {m}, r = {r})",
-            from_index=start,
+            from_index=idx,
             preperiod=first,
             period=period,
             modulus=L,
             slope=m,
             intercept=r,
         )
-    best = max((v for v in cycle if v), key=lambda v: (min(v, L - v), -v))
-    vnorm = Fraction(min(best, L - best), L)
-    idx = first + cycle.index(best)
     # past the tail index the CF perturbation is below vnorm/2
     threshold = 2 * abs(m) / vnorm
     M = 0
@@ -915,19 +914,16 @@ def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict
         return _decide_rational(u, x, policy)
     root, A, B = _chain(u)
     if isinstance(root, Constant):
-        return _decide_constant_value(_pairing(root, x, 0))
+        return _decide_constant_value(pair(root.vector, x))
     if (
         isinstance(root, CFDenominators)
         and len(x) == 1
         and not x[0].is_rational
         and x[0].surd == root.alpha.surd
     ):
-        return _decide_cf_quadratic(root.alpha, A, B, x[0], u)
+        return _decide_cf_quadratic(root.alpha, A, B, x[0])
     if isinstance(root, (Geometric, Factorial)):
-        y = SurdSum()
-        for coeff, point in zip(root.pattern, x):
-            if coeff:
-                y = y + SurdSum.from_point(point, coeff)
+        y = pair(root.pattern, x)
         if y.is_rational():
             f = y.rat
             q = f.denominator
@@ -1029,37 +1025,58 @@ class NotFound:
     reason: str
 
 
-def _char_pairing(term: tuple[int, ...], char: tuple[CirclePoint, ...]) -> SurdSum:
-    total = SurdSum()
-    for coeff, point in zip(term, char):
-        if coeff:
-            total = total + SurdSum.from_point(point, coeff)
-    return total
-
-
-def _certify_terms(
+def _verify_terms(
     seq: IntVecSeq,
-    characters,
+    topology: PrecompactTopology,
     count: int,
-    strategy: str,
-) -> NullCertificate:
-    """Verify norm(<a_n, h>) <= 2^-n exactly for every generator and term."""
-    certs = []
-    for n in range(count):
-        term = seq.term(n)
-        if not any(term):
-            raise TorsionError("null sequence term is the zero vector")
-        envelope = Fraction(1, 2**n)
-        norms = []
-        for char in characters:
-            val = _char_pairing(term, char)
-            if val.norm_cmp(envelope) > 0:
-                raise TorsionError(
-                    f"term {n} violates its envelope {envelope} on {char}"
-                )
-            norms.append(_norm_upper(val, envelope / 8))
-        certs.append(NullTermCert(n, term, tuple(norms), envelope))
-    return NullCertificate(strategy, tuple(certs))
+    chi: tuple[CirclePoint, ...] | None = None,
+    delta: Fraction | None = None,
+) -> list[tuple[tuple[int, ...], tuple[SurdSum, ...], SurdSum | None]] | None:
+    """The certificate verifier of the module docstring, on the first count
+    terms of seq.  Returns per n (u_n, the generator pairings, the chi pairing
+    or None), so producers derive display bounds without pairing again; None
+    as soon as one claim fails."""
+    k = topology.ambient.free_rank
+    if count < 1:
+        return None
+    if chi is not None and (len(chi) != k or not 0 < delta <= Fraction(1, 2)):
+        return None
+    checked = []
+    try:
+        for n in range(count):
+            term = eval_seq(seq, n)
+            if len(term) != k or not any(term):
+                return None
+            envelope = Fraction(1, 2**n)
+            values = []
+            for h in topology.characters:
+                value = pair(term, h)
+                if value.norm_cmp(envelope) > 0:
+                    return None
+                values.append(value)
+            escape = None
+            if chi is not None:
+                escape = pair(term, chi)
+                if escape.norm_cmp(delta) < 0:
+                    return None
+            checked.append((term, tuple(values), escape))
+    except ValueError:  # a finite sequence ended early, or a malformed point
+        return None
+    return checked
+
+
+def _null_terms(checked) -> tuple[NullTermCert, ...]:
+    """Certificates for verified terms; norms are display upper bounds
+    computed to within 2^-(n+3)."""
+    return tuple(
+        NullTermCert(
+            n,
+            term,
+            tuple(v.norm_enclosure(Fraction(1, 2 ** (n + 3))).upper for v in values),
+            Fraction(1, 2**n),
+        )
+        for n, (term, values, _) in enumerate(checked)
+    )
 
 
 def null_sequence(
@@ -1078,65 +1095,54 @@ def null_sequence(
     chars = topology.characters
     count = budget.max_terms
     if not chars:
-        seq: IntVecSeq = Constant((1,) + (0,) * (k - 1))
-        return NullSequenceResult(seq, _certify_terms(seq, chars, count, "indiscrete"))
-    radical = von_neumann_radical(topology)
-    gens = radical.element_generators()
-    if gens:
-        vec = min(gens, key=lambda g: (max(abs(c) for c in g), g))
-        seq = Constant(vec)
-        return NullSequenceResult(
-            seq, _certify_terms(seq, chars, count, "annihilator")
-        )
-    if k == 1 and len(chars) == 1 and not chars[0][0].is_rational:
-        alpha = chars[0][0]
-        seq = Subsequence(CFDenominators(alpha), 2, 0)
+        seq, strategy = Constant((1,) + (0,) * (k - 1)), "indiscrete"
+    elif gens := von_neumann_radical(topology).element_generators():
+        seq = Constant(min(gens, key=lambda g: (max(abs(c) for c in g), g)))
+        strategy = "annihilator"
+    elif k == 1 and len(chars) == 1 and not chars[0][0].is_rational:
         # q_{2n+1} >= 2^n, so norm(q_{2n} * alpha) < 1/q_{2n+1} <= 2^-n
-        return NullSequenceResult(
-            seq, _certify_terms(seq, chars, count, "cf-denominators")
-        )
-    from .lattice import approximation_candidates
+        seq = Subsequence(CFDenominators(chars[0][0]), 2, 0)
+        strategy = "cf-denominators"
+    else:
+        from .lattice import approximation_candidates
 
-    used = 0
-    terms: list[tuple[int, ...]] = []
-    for n in range(count):
-        envelope = Fraction(1, 2**n)
-        found = None
-        scale = 2 ** (n + 4)
-        while found is None and scale <= 2**192:
-            for cand in approximation_candidates(chars, scale):
-                used += 1
-                if used > budget.max_candidates:
-                    return NotFound(
-                        f"candidate budget {budget.max_candidates} exhausted "
-                        f"at term {n}"
-                    )
-                ok = all(
-                    _char_pairing(cand, h).norm_cmp(envelope) <= 0 for h in chars
-                )
-                if ok and any(cand):
-                    found = cand
-                    break
-            scale *= 2**8
-        if found is None:
-            return NotFound(f"no candidate met envelope {envelope} at term {n}")
-        terms.append(found)
-    seq = Explicit(tuple(terms))
-    return NullSequenceResult(
-        seq, _certify_terms(seq, chars, count, "lattice-approximation")
-    )
+        used = 0
+        terms: list[tuple[int, ...]] = []
+        for n in range(count):
+            envelope = Fraction(1, 2**n)
+            found = None
+            scale = 2 ** (n + 4)
+            while found is None and scale <= 2**192:
+                for cand in approximation_candidates(chars, scale):
+                    used += 1
+                    if used > budget.max_candidates:
+                        return NotFound(
+                            f"candidate budget {budget.max_candidates} exhausted "
+                            f"at term {n}"
+                        )
+                    ok = all(pair(cand, h).norm_cmp(envelope) <= 0 for h in chars)
+                    if ok and any(cand):
+                        found = cand
+                        break
+                scale *= 2**8
+            if found is None:
+                return NotFound(f"no candidate met envelope {envelope} at term {n}")
+            terms.append(found)
+        seq, strategy = Explicit(tuple(terms)), "lattice-approximation"
+    checked = _verify_terms(seq, topology, count)
+    if checked is None:  # every strategy above is exact; defensive
+        raise TorsionError(f"{strategy} null sequence failed its own certificate")
+    return NullSequenceResult(seq, NullCertificate(strategy, _null_terms(checked)))
 
 
 def recheck_null_certificate(
     topology: PrecompactTopology, result: NullSequenceResult
 ) -> bool:
-    """Recompute every certificate claim from scratch."""
-    for tc in result.certificate.terms:
-        if eval_seq(result.sequence, tc.index) != tc.term:
-            return False
-        if not any(tc.term):
-            return False
-        for char in topology.characters:
-            if _char_pairing(tc.term, char).norm_cmp(tc.envelope) > 0:
-                return False
-    return True
+    """Recompute every certificate claim from scratch: True iff _verify_terms
+    passes and stored term n has index n, term u_n and envelope 2^-n."""
+    terms = result.certificate.terms
+    checked = _verify_terms(result.sequence, topology, len(terms))
+    return checked is not None and all(
+        tc.index == n and tc.term == term and tc.envelope == Fraction(1, 2**n)
+        for n, (tc, (term, _, _)) in enumerate(zip(terms, checked))
+    )

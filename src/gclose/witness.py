@@ -3,9 +3,13 @@ g-closure of a finitely generated subgroup of the torus.
 
 A witness for (H, chi) is a nonzero integer sequence (a_n) that is null for
 every generator of H (max norm <= 2^-n per term) while chi stays uniformly
-far from 0 on it (norm >= delta per term).  Both facts are certified per
-term by exact arithmetic; the searcher can use any heuristics because every
-returned witness is re-checkable from scratch.
+far from 0 on it (norm >= delta per term).
+
+Only torsion._verify_terms is trusted.  For each n below the certificate
+length (>= 1) it checks exactly: a_n is nonzero of length k; norm(<a_n, h>)
+<= 2^-n for every generator h of H; len(chi) = k, 0 < delta <= 1/2 and
+norm(<a_n, chi>) >= delta.  Searches may use any heuristic; they run it on
+each candidate, and check_witness reruns it on a stored witness.
 
 An Exhausted result asserts nothing: failure to find a witness is consistent
 with membership, never proof of it.
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .circle import CirclePoint, SurdSum, int_mul
+from .circle import CirclePoint, int_mul, pair
 from .duality import PrecompactTopology, von_neumann_radical
 from .torsion import (
     Budget,
@@ -27,16 +31,13 @@ from .torsion import (
     IntVecSeq,
     NullTermCert,
     Subsequence,
-    TorsionError,
     Verdict,
-    _char_pairing,
     _expansion,
-    _norm_upper,
+    _null_terms,
+    _pair_split,
     _run_cycle,
+    _verify_terms,
     _CFMachine,
-    _PairMachine,
-    _StrideMachine,
-    eval_seq,
     t_membership,
 )
 
@@ -126,37 +127,22 @@ def _validate(topology: PrecompactTopology, chi, delta: Fraction):
 
 def _certify(
     seq: IntVecSeq,
-    characters,
+    topology: PrecompactTopology,
     chi: tuple[CirclePoint, ...],
     delta: Fraction,
     count: int,
     strategy: str,
 ) -> Witness | None:
-    """Exact per-term verification; None as soon as one bound fails."""
-    null_certs = []
-    escape_certs = []
-    for n in range(count):
-        term = eval_seq(seq, n)
-        if not any(term):
-            return None
-        envelope = Fraction(1, 2**n)
-        norms = []
-        for h in characters:
-            val = _char_pairing(term, h)
-            if val.norm_cmp(envelope) > 0:
-                return None
-            norms.append(_norm_upper(val, envelope / 8))
-        escape_val = _char_pairing(term, chi)
-        if escape_val.norm_cmp(delta) < 0:
-            return None
-        if escape_val.is_rational():
-            r = escape_val.mod1().rat
-            lower = min(r, 1 - r)
-        else:
-            lower = escape_val.norm_enclosure(delta / 8).lower
-        null_certs.append(NullTermCert(n, term, tuple(norms), envelope))
-        escape_certs.append(EscapeTermCert(n, term, lower, delta))
-    return Witness(seq, delta, tuple(null_certs), tuple(escape_certs), strategy)
+    """The witness for seq if it passes _verify_terms, else None; escape
+    norms are display lower bounds computed to within delta/8."""
+    checked = _verify_terms(seq, topology, count, chi, delta)
+    if checked is None:
+        return None
+    escapes = tuple(
+        EscapeTermCert(n, term, escape.norm_enclosure(delta / 8).lower, delta)
+        for n, (term, _, escape) in enumerate(checked)
+    )
+    return Witness(seq, delta, _null_terms(checked), escapes, strategy)
 
 
 class _CandidateCounter:
@@ -202,9 +188,9 @@ def _stage_annihilator(topology, chi, delta, count, counter) -> Witness | None:
             tried.add(a)
             if not counter.spend():
                 return None
-            if _char_pairing(a, chi).norm_cmp(delta) >= 0:
+            if pair(a, chi).norm_cmp(delta) >= 0:
                 witness = _certify(
-                    Constant(a), topology.characters, chi, delta, count, "annihilator"
+                    Constant(a), topology, chi, delta, count, "annihilator"
                 )
                 if witness is not None:
                     return witness
@@ -219,15 +205,11 @@ def _stage_cf_subsequence(topology, chi, delta, count, counter) -> Witness | Non
     if alpha.is_rational:
         return None
     x = chi[0]
-    cf = _expansion(alpha)
     if x.is_rational:
         modulus = x.den
-        machine = _CFMachine(cf, x.num, modulus)
+        machine = _CFMachine(_expansion(alpha), x.num, modulus)
     elif x.surd == alpha.surd:
-        m = Fraction(x.surd_coeff * alpha.den, x.den * alpha.surd_coeff)
-        r = Fraction(x.num, x.den) - m * Fraction(alpha.num, alpha.den)
-        modulus = lcm(m.denominator, r.denominator)
-        machine = _PairMachine(cf, int(m * modulus), int(r * modulus), modulus)
+        _, _, modulus, machine = _pair_split(alpha, x)
     else:
         return None
     run = _run_cycle(machine)
@@ -247,7 +229,7 @@ def _stage_cf_subsequence(topology, chi, delta, count, counter) -> Witness | Non
             if not counter.spend():
                 return None
             seq = Subsequence(CFDenominators(alpha), stride, first + pos + shift * stride)
-            witness = _certify(seq, chars, chi, delta, count, "cf-subsequence")
+            witness = _certify(seq, topology, chi, delta, count, "cf-subsequence")
             if witness is not None:
                 return witness
     return None
@@ -277,12 +259,10 @@ def _stage_lattice(topology, chi, delta, count, counter) -> Witness | Exhausted:
                     )
                 # escape first: for rational chi it is plain fraction
                 # arithmetic, and a failure rules the candidate out forever
-                if _char_pairing(a, chi).norm_cmp(delta) < 0:
+                if pair(a, chi).norm_cmp(delta) < 0:
                     escape_failed.add(a)
                     continue
-                if any(
-                    _char_pairing(a, h).norm_cmp(envelope) > 0 for h in chars
-                ):
+                if any(pair(a, h).norm_cmp(envelope) > 0 for h in chars):
                     continue
                 found = a
                 break
@@ -295,7 +275,7 @@ def _stage_lattice(topology, chi, delta, count, counter) -> Witness | Exhausted:
                 counter.used,
             )
         terms.append(found)
-    witness = _certify(Explicit(tuple(terms)), chars, chi, delta, count, "lattice")
+    witness = _certify(Explicit(tuple(terms)), topology, chi, delta, count, "lattice")
     if witness is None:  # defensive; terms were verified individually
         return Exhausted("assembled terms failed final certification", counter.used)
     return witness
@@ -326,18 +306,15 @@ def find_witness(
                 f"largest norm {best} is below the threshold {delta}",
                 0,
             )
-    witness = _stage_annihilator(topology, chi, delta, count, counter)
-    if witness is not None:
-        return witness
-    if counter.used >= counter.limit:
-        return Exhausted("candidate budget exhausted in annihilator stage", counter.used)
-    witness = _stage_cf_subsequence(topology, chi, delta, count, counter)
-    if witness is not None:
-        return witness
-    if counter.used >= counter.limit:
-        return Exhausted(
-            "candidate budget exhausted in subsequence stage", counter.used
-        )
+    for stage, name in (
+        (_stage_annihilator, "annihilator"),
+        (_stage_cf_subsequence, "subsequence"),
+    ):
+        witness = stage(topology, chi, delta, count, counter)
+        if witness is not None:
+            return witness
+        if counter.used >= counter.limit:
+            return Exhausted(f"candidate budget exhausted in {name} stage", counter.used)
     if not topology.characters:
         # indiscrete topology: the annihilator stage already enumerated Z^k
         return Exhausted("no escaping vector found for the indiscrete topology", counter.used)
@@ -349,31 +326,21 @@ def check_witness(
     topology: PrecompactTopology,
     chi: tuple[CirclePoint, ...] | list[CirclePoint],
 ) -> bool:
-    """Recompute every certificate bound from scratch; True iff all hold."""
-    try:
-        chi = tuple(chi)
-        delta = witness.escape_threshold
-        if not 0 < delta <= Fraction(1, 2):
-            return False
-        nulls, escapes = witness.null_certificate, witness.escape_certificate
-        if len(nulls) != len(escapes) or not nulls:
-            return False
-        for n, (nc, ec) in enumerate(zip(nulls, escapes)):
-            if nc.index != n or ec.index != n:
-                return False
-            term = eval_seq(witness.sequence, n)
-            if term != nc.term or term != ec.term or not any(term):
-                return False
-            if nc.envelope != Fraction(1, 2**n) or ec.threshold != delta:
-                return False
-            for h in topology.characters:
-                if _char_pairing(term, h).norm_cmp(nc.envelope) > 0:
-                    return False
-            if _char_pairing(term, chi).norm_cmp(delta) < 0:
-                return False
-        return True
-    except (WitnessError, TorsionError, ValueError, IndexError):
+    """Recompute every certificate claim from scratch: True iff _verify_terms
+    passes and stored term n has, in both certificates, index n and term
+    a_n, with envelope 2^-n and threshold delta."""
+    delta = witness.escape_threshold
+    nulls, escapes = witness.null_certificate, witness.escape_certificate
+    if len(nulls) != len(escapes):
         return False
+    checked = _verify_terms(witness.sequence, topology, len(nulls), tuple(chi), delta)
+    return checked is not None and all(
+        nc.index == ec.index == n
+        and nc.term == ec.term == term
+        and nc.envelope == Fraction(1, 2**n)
+        and ec.threshold == delta
+        for n, (nc, ec, (term, _, _)) in enumerate(zip(nulls, escapes, checked))
+    )
 
 
 def g_membership_experiment(

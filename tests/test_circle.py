@@ -24,7 +24,6 @@ from gclose.circle import (
     convergents,
     int_mul,
     norm,
-    normalize,
 )
 
 GOLDEN = CirclePoint.quadratic(-1, 1, 2, 5)
@@ -65,25 +64,22 @@ def surd_interval(a: int, b: int, c: int, d: int, bits: int = 100):
     return (a + b * lo) / c, (a + b * hi) / c
 
 
-# normalize ----------------------------------------------------------------
-
-
-def test_normalize_reduced():
-    assert normalize(7, 16) == CirclePoint.rational(7, 16)
-    assert (normalize(7, 16).num, normalize(7, 16).den) == (7, 16)
+# rational normal form -----------------------------------------------------
 
 
 def test_normalize_negative():
-    assert normalize(-1, 3) == CirclePoint.rational(2, 3)
+    p = CirclePoint.rational(-1, 3)
+    assert (p.num, p.den) == (2, 3)
 
 
 def test_normalize_reduce_and_wrap():
-    assert normalize(10, 8) == CirclePoint.rational(1, 4)
+    p = CirclePoint.rational(10, 8)
+    assert (p.num, p.den) == (1, 4)
 
 
 def test_normalize_zero_denominator():
     with pytest.raises(CircleError):
-        normalize(1, 0)
+        CirclePoint.rational(1, 0)
 
 
 def test_quadratic_canonical_range():

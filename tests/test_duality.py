@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gclose.duality as duality
 from gclose.circle import CirclePoint
 from gclose.duality import (
     Character,
@@ -33,8 +32,6 @@ from gclose.duality import (
 )
 
 GOLDEN = CirclePoint.quadratic(-1, 1, 2, 5)
-
-duality.VERIFY_POSTCONDITIONS = True
 
 
 def half(p, q):
@@ -58,34 +55,49 @@ def minor_gcd(m: IntMatrix, size: int) -> int:
 # Smith normal form ----------------------------------------------------------
 
 
-def test_snf_worked_example():
-    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+def assert_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """smith_normal_form(m), after checking its postconditions: U*M*V = D
+    with U, V unimodular, D diagonal with a nonnegative divisibility chain."""
     u, d, v = smith_normal_form(m)
-    assert d.diagonal() == (2, 4)
     assert u @ m @ v == d
     assert abs(u.determinant()) == 1 and abs(v.determinant()) == 1
+    diag = d.diagonal()
+    assert all(x >= 0 for x in diag)
+    for x, y in zip(diag, diag[1:]):
+        if y:
+            assert x != 0 and y % x == 0
+    for i in range(d.rows):
+        for j in range(d.cols):
+            if i != j:
+                assert d.entries[i][j] == 0
+    return u, d, v
+
+
+def test_snf_worked_example():
+    m = IntMatrix.from_rows([[2, 4], [6, 8]])
+    _, d, _ = assert_snf(m)
+    assert d.diagonal() == (2, 4)
     # oracle: d1 = gcd of entries, d1*d2 = |det|
     assert minor_gcd(m, 1) == 2 and abs(m.determinant()) == 8
 
 
 def test_snf_identity():
     m = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    _, d, _ = smith_normal_form(m)
+    _, d, _ = assert_snf(m)
     assert d == m
 
 
 def test_snf_zero_matrix():
     m = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
-    u, d, v = smith_normal_form(m)
+    _, d, _ = assert_snf(m)
     assert all(x == 0 for row in d.entries for x in row)
-    assert abs(u.determinant()) == 1 and abs(v.determinant()) == 1
 
 
 def test_snf_empty_matrix():
     m = IntMatrix.from_rows([], cols=3)
-    u, d, v = smith_normal_form(m)
+    _, d, v = assert_snf(m)
     assert d.rows == 0 and d.cols == 3
-    assert v.rows == 3 and abs(v.determinant()) == 1
+    assert v.rows == 3
 
 
 @given(
@@ -97,19 +109,7 @@ def test_snf_empty_matrix():
 )
 @settings(max_examples=80)
 def test_snf_postconditions(rows):
-    m = IntMatrix.from_rows(rows)
-    u, d, v = smith_normal_form(m)
-    assert u @ m @ v == d
-    assert abs(u.determinant()) == 1 and abs(v.determinant()) == 1
-    diag = d.diagonal()
-    for i in range(len(diag) - 1):
-        if diag[i + 1]:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        assert diag[i] >= 0
-    for i in range(d.rows):
-        for j in range(d.cols):
-            if i != j:
-                assert d.entries[i][j] == 0
+    assert_snf(IntMatrix.from_rows(rows))
 
 
 @given(

@@ -1,0 +1,77 @@
+"""Golden CLI corpus: every command in tests/golden/commands.txt must print
+exactly the exit code, stdout and stderr stored beside it.
+
+The stored outputs drop the only nondeterministic field, the elapsed time:
+the "timing_seconds" line of JSON reports and the "[x.xxxs]" footer of human
+reports.  The test compares and never rewrites.  After a deliberate change
+in output, re-record with ``PYTHONPATH=src python tests/test_golden.py
+record`` and review the diff of tests/golden/ line by line.
+"""
+
+import io
+import os
+import re
+import shlex
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from gclose.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+_TIMING = re.compile(r'^  "timing_seconds": [^\n]*\n|^\[\d+\.\d{3}s\] [^\n]*\n', re.M)
+
+
+def _cases() -> list[tuple[str, list[str]]]:
+    cases = []
+    for line in (GOLDEN_DIR / "commands.txt").read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.startswith("#"):
+            name, *argv = shlex.split(line)
+            cases.append((name, argv))
+    return cases
+
+
+def render(argv: list[str]) -> str:
+    """Exit code, stdout and stderr of main(argv), with timings removed."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    text = f"exit {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    return _TIMING.sub("", text)
+
+
+CASES = _cases()
+
+
+def test_corpus_covers_every_verb_format_and_exit_code():
+    texts = {name: (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8") for name, _ in CASES}
+    verbs = {argv[0] for _, argv in CASES}
+    assert {"dual", "closure", "radical", "snf", "tmem", "smem", "profile",
+            "nullseq", "witness", "gmem", "bds"} <= verbs
+    formats = {
+        argv[argv.index("--format") + 1] if "--format" in argv else "human"
+        for _, argv in CASES
+    }
+    assert formats == {"json", "csv", "human"}
+    assert {t.split("\n", 1)[0] for t in texts.values()} == {"exit 0", "exit 1", "exit 2"}
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_golden_output(name, argv, monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("GCLOSE_"):
+            monkeypatch.delenv(key)
+    expected = (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+    assert render(argv) == expected
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["record"]:
+        sys.exit("usage: PYTHONPATH=src python tests/test_golden.py record")
+    for key in [k for k in os.environ if k.startswith("GCLOSE_")]:
+        del os.environ[key]
+    for name, argv in CASES:
+        (GOLDEN_DIR / f"{name}.out").write_text(render(argv), encoding="utf-8")

@@ -30,7 +30,9 @@ from gclose.torsion import (
     Geometric,
     Interleave,
     NotFound,
+    NullCertificate,
     NullSequenceResult,
+    NullTermCert,
     Policy,
     Subsequence,
     TorsionError,
@@ -487,10 +489,31 @@ def test_null_sequence_two_quadratics_lattice_search():
 def test_null_certificate_tamper_detected():
     t = _topology((GOLDEN,))
     out = null_sequence(t)
-    bad = NullSequenceResult(
-        Subsequence(CFDenominators(GOLDEN), 2, 1), out.certificate
-    )
-    assert not recheck_null_certificate(t, bad)
+    third = _topology((CirclePoint.rational(1, 3),))
+    ones = Constant((1,))
+
+    def forged(*index_envelope):
+        # const:1 against 1/3: norm 1/3 at every index, so only envelopes
+        # of at least 1/3 hold, i.e. indices 0 and 1 when envelope = 2^-n
+        return NullSequenceResult(ones, NullCertificate("forged", tuple(
+            NullTermCert(i, (1,), (Fraction(1, 3),), e) for i, e in index_envelope
+        )))
+
+    assert recheck_null_certificate(third, forged((0, Fraction(1)), (1, Fraction(1, 2))))
+    tampered = {
+        "shifted sequence": (t, NullSequenceResult(
+            Subsequence(CFDenominators(GOLDEN), 2, 1), out.certificate
+        )),
+        "envelopes all 1/2": (third, forged(*((n, Fraction(1, 2)) for n in range(4)))),
+        "index 0 repeated": (third, forged(*((0, Fraction(1)) for _ in range(4)))),
+        "index 1 missing": (t, NullSequenceResult(out.sequence, NullCertificate(
+            out.certificate.strategy,
+            out.certificate.terms[:1] + out.certificate.terms[2:],
+        ))),
+        "empty certificate": (third, forged()),
+    }
+    for name, (topology, bad) in tampered.items():
+        assert not recheck_null_certificate(topology, bad), name
 
 
 def test_null_sequence_determinism():

@@ -5,13 +5,14 @@ Fibonacci and Pell values are generated by from-scratch recurrences here,
 never read back from the implementation.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from gclose.circle import CirclePoint, SurdSum, int_mul
 from gclose.duality import PrecompactTopology
-from gclose.torsion import Budget, Constant, eval_seq, t_membership
+from gclose.torsion import Budget, Constant, Explicit, eval_seq, t_membership
 from gclose.witness import (
     DEFAULT_DELTA_LADDER,
     ConsistentWithMembership,
@@ -151,7 +152,8 @@ def test_witness_determinism():
 
 def test_check_witness_rejects_tampering():
     t = topo((GOLDEN,))
-    w = find_witness(t, (rat(1, 2),), Fraction(1, 2))
+    chi = (rat(1, 2),)
+    w = find_witness(t, chi, Fraction(1, 2))
     worse = Witness(
         w.sequence,
         w.escape_threshold,
@@ -162,7 +164,6 @@ def test_check_witness_rejects_tampering():
         ),
         w.strategy,
     )
-    assert not check_witness(worse, t, (rat(1, 2),))
     shifted = Witness(
         w.sequence,
         w.escape_threshold,
@@ -173,7 +174,23 @@ def test_check_witness_rejects_tampering():
         w.escape_certificate,
         w.strategy,
     )
-    assert not check_witness(shifted, t, (rat(1, 2),))
+    # every term padded with a zero coordinate: the first coordinate alone
+    # still meets every bound, but the terms no longer live in Z^1
+    padded = Witness(
+        Explicit(tuple(tc.term + (0,) for tc in w.null_certificate)),
+        w.escape_threshold,
+        tuple(replace(tc, term=tc.term + (0,)) for tc in w.null_certificate),
+        tuple(replace(tc, term=tc.term + (0,)) for tc in w.escape_certificate),
+        w.strategy,
+    )
+    tampered = {
+        "escape threshold raised": (worse, chi),
+        "envelopes shrunk": (shifted, chi),
+        "chi with three coordinates on Z^1": (w, chi + (rat(0), rat(0))),
+        "terms of dimension 2 on Z^1": (padded, chi),
+    }
+    for name, (bad, bad_chi) in tampered.items():
+        assert not check_witness(bad, t, bad_chi), name
 
 
 # the ladder experiment ----------------------------------------------------------
