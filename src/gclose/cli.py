@@ -18,6 +18,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from . import __version__
 from .circle import CirclePoint
@@ -42,7 +43,6 @@ from .torsion import (
     Interleave,
     IntVecSeq,
     NotFound,
-    NullSequenceResult,
     NullTermCert,
     Policy,
     Subsequence,
@@ -53,13 +53,11 @@ from .torsion import (
     t_membership,
 )
 from .witness import (
-    ConsistentWithMembership,
     EscapeTermCert,
     Exhausted,
     NotInGClosure,
     Witness,
     bds_experiment,
-    check_witness,
     find_witness,
     g_membership_experiment,
 )
@@ -185,10 +183,7 @@ def parse_point(text: str, base: int = 0) -> CirclePoint:
             raise ParseError(f"bad radicand {d_text!r}", dpos) from None
         if d < 2:
             raise ParseError(f"radicand {d} must be >= 2", dpos)
-        root = 1
-        while root * root < d:
-            root += 1
-        if root * root == d:
+        if isqrt(d) ** 2 == d:
             raise ParseError(f"radicand {d} is a perfect square", dpos)
         head = inner[:star]
         # split a and b on the sign separating them (skip a leading sign)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .circle import CirclePoint, SurdSum, pair
 
@@ -120,9 +120,6 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.rows == self.cols and abs(self.determinant()) == 1
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))

@@ -1,10 +1,15 @@
-"""Exact lattice reduction over the rationals.
+"""Exact lattice reduction over the integers.
 
-LLL with delta = 3/4 on integer basis vectors, all Gram-Schmidt data kept as
-Fractions so the reduction is deterministic and exact.  The candidate
-generator builds the standard simultaneous-approximation lattice for a list
-of real characters: short vectors give integer combinations whose pairings
-with every character are small.
+LLL on linearly independent integer rows, in the integral form of Cohen, A
+Course in Computational Algebraic Number Theory, Alg. 2.6.7 (de Weger 1987).
+With B_i = |b*_i|^2 the squared Gram-Schmidt lengths, it keeps the leading
+Gram determinants d_i = B_1 * ... * B_i and lambda_ij = d_j * mu_ij, which
+are integers, and updates them in place on each size reduction and swap with
+exact divisions, so no rational number is ever built.  The reduction is
+deterministic and exact.  The candidate generator builds the standard
+simultaneous-approximation lattice for a list of real characters: short
+vectors give integer combinations whose pairings with every character are
+small.
 """
 
 from __future__ import annotations
@@ -16,45 +21,59 @@ from .circle import CirclePoint
 __all__ = ["lll_reduce", "approximation_candidates"]
 
 
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 def lll_reduce(basis: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[int]]:
-    """Lenstra-Lenstra-Lovasz reduction of linearly independent integer rows."""
+    """Lenstra-Lenstra-Lovasz reduction of linearly independent integer rows.
+
+    Rows are b[0..n-1]; d[i] is the Gram determinant of rows 0..i-1 (d[0] =
+    1), so B_i = d[i+1] / d[i], and lam[i][j] = d[j+1] * mu_ij.  Row k is
+    size-reduced against rows k-1, ..., 0 (q = round(mu_kj), ties to even)
+    before each Lovasz test B_k >= (delta - mu_k,k-1^2) * B_k-1; times
+    d[k] * d[k-1] and delta's denominator it reads
+    den * (d[k+1] * d[k-1] + lam[k][k-1]^2) >= num * d[k]^2.  A failed test
+    swaps rows k and k-1 and steps back to max(k-1, 1).
+    """
     b = [list(row) for row in basis]
     n = len(b)
-    if n == 0:
-        return []
-
-    def gram(rows):
-        # orthogonalized rows bstar and coefficients mu
-        bstar: list[list[Fraction]] = []
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(x) for x in rows[i]]
-            for j in range(i):
-                mu[i][j] = _dot(rows[i], bstar[j]) / _dot(bstar[j], bstar[j])
-                v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-            bstar.append(v)
-        return bstar, mu
-
-    bstar, mu = gram(b)
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
+    # integral Gram-Schmidt; every division below is exact
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(b[k], b[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+    num, den = delta.numerator, delta.denominator
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
+            dj = d[j + 1]
+            # q = round(lam/dj), ties to even; 0 unless |mu| > 1/2
+            q, rem = divmod(2 * lam[k][j] + dj, 2 * dj)
+            if rem == 0 and q & 1:
+                q -= 1
             if q:
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                bstar, mu = gram(b)
-        lhs = _dot(bstar[k], bstar[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * _dot(bstar[k - 1], bstar[k - 1])
-        if lhs >= rhs:
+                lam[k][j] -= q * dj
+                for i in range(j):
+                    lam[k][i] -= q * lam[j][i]
+        t = lam[k][k - 1]
+        if den * (d[k + 1] * d[k - 1] + t * t) >= num * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            bstar, mu = gram(b)
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k; lam[k][k-1] keeps its value, d[k] changes
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
+        new_d = (d[k - 1] * d[k + 1] + t * t) // d[k]
+        for i in range(k + 1, n):
+            s = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - t * s) // d[k]
+            lam[i][k - 1] = (new_d * s + t * lam[i][k]) // d[k + 1]
+        d[k] = new_d
+        k = max(k - 1, 1)
     return b
 
 

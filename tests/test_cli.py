@@ -76,6 +76,19 @@ def test_parse_point_errors_carry_position():
         parse_point("one half")
 
 
+def test_large_square_radicand_is_rejected_at_once(capsys):
+    # the square test is isqrt, not a walk up to sqrt(d)
+    d = 10**16
+    point = f"quad:(1+1*sqrt({d}))/3"
+    with pytest.raises(ParseError, match=f"radicand {d} is a perfect square") as e:
+        parse_point(point)
+    assert e.value.position == 15
+    assert main(["tmem", "--seq", "geom:2", "--point", point]) == 1
+    assert capsys.readouterr().err == (
+        f"gclose: error: at position 15: radicand {d} is a perfect square\n"
+    )
+
+
 def test_parse_fraction_forms():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("5") == Fraction(5)
