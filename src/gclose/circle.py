@@ -135,9 +135,6 @@ class Enclosure:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def midpoint(self) -> Fraction:
-        return (self.lower + self.upper) / 2
-
 
 @dataclass(frozen=True)
 class CirclePoint:
@@ -325,23 +322,6 @@ class SurdSum:
 
     def is_rational(self) -> bool:
         return not self.terms
-
-    def as_point(self) -> CirclePoint:
-        """Canonical circle point, when at most one surd term is present."""
-        if not self.terms:
-            return CirclePoint.rational(self.rat.numerator, self.rat.denominator)
-        if len(self.terms) > 1:
-            raise CircleError("sum spans more than one quadratic field")
-        d, c = self.terms[0]
-        den = self.rat.denominator * c.denominator // gcd(
-            self.rat.denominator, c.denominator
-        )
-        return CirclePoint.quadratic(
-            self.rat.numerator * (den // self.rat.denominator),
-            c.numerator * (den // c.denominator),
-            den,
-            d,
-        )
 
     def enclosure(self, tol: Fraction) -> Enclosure:
         if not self.terms:

@@ -16,8 +16,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cache
 from math import isqrt
 
 from . import __version__
@@ -80,24 +82,11 @@ __all__ = [
     "run",
     "main",
     "SCHEMA_VERSION",
+    "MAX_RADICAND",
+    "MAX_SEQ_DEPTH",
 ]
 
 SCHEMA_VERSION = "1"
-
-VERBS = (
-    "dual",
-    "closure",
-    "radical",
-    "snf",
-    "tmem",
-    "smem",
-    "profile",
-    "nullseq",
-    "witness",
-    "gmem",
-    "bds",
-)
-
 
 class ParseError(ValueError):
     """Malformed literal; carries the offending position in the input."""
@@ -114,6 +103,13 @@ class CliError(ValueError):
 # ---------------------------------------------------------------------------
 # literal parsers
 
+# Largest radicand d a quadratic literal may carry: reducing d to its
+# squarefree part trial-divides up to sqrt(d), about 0.1 s at this bound.
+MAX_RADICAND = 10**12
+
+# Most sub(...) and interleave(...) forms a sequence literal may nest.
+MAX_SEQ_DEPTH = 64
+
 
 def _int_at(text: str, pos: int) -> int:
     piece = text[pos:].strip()
@@ -121,6 +117,20 @@ def _int_at(text: str, pos: int) -> int:
         return int(piece)
     except ValueError:
         raise ParseError(f"expected an integer, got {piece!r}", pos) from None
+
+
+def _int(text: str, pos: int, what: str) -> int:
+    try:
+        return int(text.strip())
+    except ValueError:
+        raise ParseError(f"bad {what} {text.strip()!r}", pos) from None
+
+
+def _positioned(pieces: list[str], base: int):
+    """Each piece of a text split on one-character separators, with its position."""
+    for piece in pieces:
+        yield piece, base
+        base += len(piece) + 1
 
 
 def parse_fraction(text: str, base: int = 0) -> Fraction:
@@ -185,6 +195,8 @@ def parse_point(text: str, base: int = 0) -> CirclePoint:
             raise ParseError(f"radicand {d} must be >= 2", dpos)
         if isqrt(d) ** 2 == d:
             raise ParseError(f"radicand {d} is a perfect square", dpos)
+        if d > MAX_RADICAND:
+            raise ParseError(f"radicand {d} exceeds {MAX_RADICAND}", dpos)
         head = inner[:star]
         # split a and b on the sign separating them (skip a leading sign)
         cut = None
@@ -208,12 +220,8 @@ def parse_point_vector(text: str, base: int = 0) -> tuple[CirclePoint, ...]:
     t = text.strip()
     if not t:
         raise ParseError("empty point vector", base)
-    points = []
-    offset = 0
-    for piece in t.split(","):
-        points.append(parse_point(piece, base + offset))
-        offset += len(piece) + 1
-    return tuple(points)
+    pieces = _positioned(t.split(","), base)
+    return tuple(parse_point(piece, pos) for piece, pos in pieces)
 
 
 def parse_char_list(text: str, base: int = 0) -> tuple[tuple[CirclePoint, ...], ...]:
@@ -221,12 +229,8 @@ def parse_char_list(text: str, base: int = 0) -> tuple[tuple[CirclePoint, ...], 
     t = text.strip()
     if not t:
         return ()
-    chars = []
-    offset = 0
-    for piece in t.split(";"):
-        chars.append(parse_point_vector(piece, base + offset))
-        offset += len(piece) + 1
-    return tuple(chars)
+    pieces = _positioned(t.split(";"), base)
+    return tuple(parse_point_vector(piece, pos) for piece, pos in pieces)
 
 
 def parse_int_matrix(text: str, base: int = 0) -> IntMatrix:
@@ -235,25 +239,11 @@ def parse_int_matrix(text: str, base: int = 0) -> IntMatrix:
     if not t:
         raise ParseError("empty matrix literal", base)
     rows = []
-    offset = 0
-    width = None
-    for piece in t.split(";"):
-        entries = []
-        inner = 0
-        for cell in piece.split(","):
-            try:
-                entries.append(int(cell.strip()))
-            except ValueError:
-                raise ParseError(
-                    f"bad matrix entry {cell.strip()!r}", base + offset + inner
-                ) from None
-            inner += len(cell) + 1
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise ParseError("ragged matrix rows", base + offset)
-        rows.append(entries)
-        offset += len(piece) + 1
+    for piece, pos in _positioned(t.split(";"), base):
+        cells = _positioned(piece.split(","), pos)
+        rows.append([_int(cell, at, "matrix entry") for cell, at in cells])
+        if len(rows[-1]) != len(rows[0]):
+            raise ParseError("ragged matrix rows", pos)
     return IntMatrix.from_rows(rows)
 
 
@@ -266,27 +256,18 @@ def parse_group(text: str, base: int = 0) -> FgAbelianGroup:
         return FgAbelianGroup(0, ())
     free = 0
     factors = []
-    offset = 0
-    for piece in t.split("+"):
+    for piece, pos in _positioned(t.split("+"), base):
         if piece == "Z":
             free += 1
         elif piece.startswith("Z^"):
-            try:
-                r = int(piece[2:])
-            except ValueError:
-                raise ParseError(f"bad free rank {piece[2:]!r}", base + offset + 2) from None
+            r = _int(piece[2:], pos + 2, "free rank")
             if r < 1:
-                raise ParseError("free rank must be >= 1", base + offset + 2)
+                raise ParseError("free rank must be >= 1", pos + 2)
             free += r
         elif piece.startswith("Z/"):
-            try:
-                d = int(piece[2:])
-            except ValueError:
-                raise ParseError(f"bad torsion order {piece[2:]!r}", base + offset + 2) from None
-            factors.append(d)
+            factors.append(_int(piece[2:], pos + 2, "torsion order"))
         else:
-            raise ParseError(f"unknown group term {piece!r}", base + offset)
-        offset += len(piece) + 1
+            raise ParseError(f"unknown group term {piece!r}", pos)
     try:
         return FgAbelianGroup(free, tuple(factors))
     except ValueError as exc:
@@ -312,15 +293,8 @@ def _split_top(text: str, sep: str) -> list[str]:
 
 
 def _parse_int_tuple(text: str, base: int) -> tuple[int, ...]:
-    out = []
-    offset = 0
-    for piece in text.split(","):
-        try:
-            out.append(int(piece.strip()))
-        except ValueError:
-            raise ParseError(f"bad integer {piece.strip()!r}", base + offset) from None
-        offset += len(piece) + 1
-    return tuple(out)
+    pieces = _positioned(text.split(","), base)
+    return tuple(_int(piece, pos, "integer") for piece, pos in pieces)
 
 
 def parse_seq(text: str, base: int = 0) -> IntVecSeq:
@@ -328,10 +302,17 @@ def parse_seq(text: str, base: int = 0) -> IntVecSeq:
 
     geom:B [*(p1,...)], fact [*(p1,...)], cfden:<point>, const:v1,...,
     list:v11,v12;v21,v22;..., sub(a,b):<seq>, interleave(<seq>@b;...).
+    At most MAX_SEQ_DEPTH sub and interleave forms nest.
     """
+    return _parse_seq(text, base, 0)
+
+
+def _parse_seq(text: str, base: int, depth: int) -> IntVecSeq:
     t = text.strip()
     if not t:
         raise ParseError("empty sequence literal", base)
+    if depth == MAX_SEQ_DEPTH and t.startswith(("sub(", "interleave(")):
+        raise ParseError(f"sequence nests deeper than {MAX_SEQ_DEPTH} levels", base)
     try:
         if t.startswith("geom:"):
             body = t[5:]
@@ -355,13 +336,8 @@ def parse_seq(text: str, base: int = 0) -> IntVecSeq:
         if t.startswith("const:"):
             return Constant(_parse_int_tuple(t[6:], base + 6))
         if t.startswith("list:"):
-            body = t[5:]
-            terms = []
-            offset = base + 5
-            for piece in body.split(";"):
-                terms.append(_parse_int_tuple(piece, offset))
-                offset += len(piece) + 1
-            return Explicit(tuple(terms))
+            pieces = _positioned(t[5:].split(";"), base + 5)
+            return Explicit(tuple(_parse_int_tuple(piece, pos) for piece, pos in pieces))
         if t.startswith("sub("):
             close = t.find("):")
             if close < 0:
@@ -369,32 +345,30 @@ def parse_seq(text: str, base: int = 0) -> IntVecSeq:
             params = _parse_int_tuple(t[4:close], base + 4)
             if len(params) != 2:
                 raise ParseError("sub takes exactly (stride, offset)", base + 4)
-            return Subsequence(parse_seq(t[close + 2 :], base + close + 2), *params)
+            child = _parse_seq(t[close + 2 :], base + close + 2, depth + 1)
+            return Subsequence(child, *params)
         if t.startswith("interleave(") and t.endswith(")"):
-            body = t[11:-1]
             children = []
             blocks = []
-            offset = base + 11
-            for piece in _split_top(body, ";"):
-                depth = 0
+            for piece, offset in _positioned(_split_top(t[11:-1], ";"), base + 11):
+                parens = 0
                 at = None
                 for i, ch in enumerate(piece):
                     if ch == "(":
-                        depth += 1
+                        parens += 1
                     elif ch == ")":
-                        depth -= 1
-                    elif ch == "@" and depth == 0:
+                        parens -= 1
+                    elif ch == "@" and parens == 0:
                         at = i
                 if at is None:
                     raise ParseError("expected '<seq>@<block>'", offset)
-                children.append(parse_seq(piece[:at], offset))
+                children.append(_parse_seq(piece[:at], offset, depth + 1))
                 try:
                     blocks.append(int(piece[at + 1 :]))
                 except ValueError:
                     raise ParseError(
                         f"bad block size {piece[at + 1:]!r}", offset + at + 1
                     ) from None
-                offset += len(piece) + 1
             return Interleave(tuple(children), tuple(blocks))
     except (ValueError, TypeError) as exc:
         if isinstance(exc, ParseError):
@@ -404,25 +378,16 @@ def parse_seq(text: str, base: int = 0) -> IntVecSeq:
 
 
 def _parse_ambient_character(ambient: FgAbelianGroup, text: str, base: int) -> Character:
-    pieces = text.split(",")
+    pieces = list(_positioned(text.split(","), base))
     need = ambient.free_rank + len(ambient.invariant_factors)
     if len(pieces) != need:
         raise ParseError(
             f"character needs {need} coordinates for {ambient}, got {len(pieces)}", base
         )
-    free = []
-    offset = 0
-    for piece in pieces[: ambient.free_rank]:
-        free.append(parse_point(piece, base + offset))
-        offset += len(piece) + 1
-    torsion = []
-    for piece in pieces[ambient.free_rank :]:
-        try:
-            torsion.append(int(piece.strip()))
-        except ValueError:
-            raise ParseError(f"bad torsion residue {piece.strip()!r}", base + offset) from None
-        offset += len(piece) + 1
-    return Character.make(ambient, tuple(free), tuple(torsion))
+    r = ambient.free_rank
+    free = tuple(parse_point(piece, pos) for piece, pos in pieces[:r])
+    torsion = tuple(_int(piece, pos, "torsion residue") for piece, pos in pieces[r:])
+    return Character.make(ambient, free, torsion)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +443,19 @@ def _escape_cert_payload(cert: tuple[EscapeTermCert, ...]) -> list[dict]:
     ]
 
 
+def _points(points) -> str:
+    return ",".join(str(p) for p in points)
+
+
+def _context_payload(chars: tuple[tuple[CirclePoint, ...], ...], chi) -> dict:
+    return {"generators": [_points(c) for c in chars], "chi": _points(chi)}
+
+
 def _witness_payload(
     w: Witness, chars: tuple[tuple[CirclePoint, ...], ...], chi
 ) -> dict:
     return {
-        "generators": [",".join(str(p) for p in c) for c in chars],
-        "chi": ",".join(str(p) for p in chi),
+        **_context_payload(chars, chi),
         "delta": _fr(w.escape_threshold),
         "strategy": w.strategy,
         "sequence": w.sequence.describe(),
@@ -552,34 +524,12 @@ class Report:
 
 
 def report_to_json(report: Report) -> str:
-    return json.dumps(
-        {
-            "schema_version": report.schema_version,
-            "kernel_version": report.kernel_version,
-            "verb": report.verb,
-            "arguments": report.arguments,
-            "config": report.config,
-            "result": report.result,
-            "timing_seconds": report.timing_seconds,
-            "note": report.note,
-        },
-        sort_keys=True,
-        indent=2,
-    )
+    return json.dumps(vars(report), sort_keys=True, indent=2)
 
 
 def report_from_json(text: str) -> Report:
     data = json.loads(text)
-    return Report(
-        data["schema_version"],
-        data["kernel_version"],
-        data["verb"],
-        data["arguments"],
-        data["config"],
-        data["result"],
-        data["timing_seconds"],
-        data["note"],
-    )
+    return Report(**{f.name: data[f.name] for f in fields(Report)})
 
 
 _NOTE = (
@@ -598,7 +548,7 @@ def _resolve_config(policy: dict) -> tuple[Policy, Budget, dict]:
         if env is not None:
             try:
                 return parse(env), "env"
-            except (ValueError, ParseError) as exc:
+            except ValueError as exc:
                 raise CliError(f"bad {env_key}: {exc}") from None
         return default, "default"
 
@@ -608,8 +558,6 @@ def _resolve_config(policy: dict) -> tuple[Policy, Budget, dict]:
     )
 
     def parse_budget(text):
-        if isinstance(text, Budget):
-            return text
         parts = str(text).split(",")
         if len(parts) != 2:
             raise CliError("budget must be 'max_terms,max_candidates'")
@@ -630,7 +578,38 @@ def _resolve_config(policy: dict) -> tuple[Policy, Budget, dict]:
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each returns (result_payload, exit_code)
+# verbs: each has a handler (args, policy, budget) -> (result_payload,
+# exit_code), a human formatter result -> lines and, for some, a csv one
+
+
+def _rank(args, chars) -> int:
+    """--k, or else the length of the first character vector."""
+    if args.get("k"):
+        return int(args["k"])
+    if not chars:
+        raise CliError("--k is required when no characters are given")
+    return len(chars[0])
+
+
+def _g_outcome_payload(outcome, chars, chi) -> dict:
+    """A g-closure experiment's outcome: its witness, or every attempt made."""
+    if isinstance(outcome, NotInGClosure):
+        return {
+            "outcome": "not_in_g_closure",
+            "delta": _fr(outcome.delta),
+            "witness": _witness_payload(outcome.witness, chars, chi),
+        }
+    return {
+        "outcome": "consistent_with_membership",
+        "attempts": [
+            {
+                "delta": _fr(d),
+                "reason": e.reason,
+                "candidates_tested": _s(e.candidates_tested),
+            }
+            for d, e in outcome.attempts
+        ],
+    }
 
 
 def _run_dual(args, policy, budget):
@@ -646,15 +625,18 @@ def _run_dual(args, policy, budget):
     }, 0
 
 
+def _human_dual(r):
+    return [f"presented group: {r['group']}"]
+
+
 def _run_closure(args, policy, budget):
     ambient = parse_group(args["group"])
-    gens = []
     text = args.get("gens", "") or ""
-    offset = 0
-    for piece in text.split(";") if text.strip() else []:
-        gens.append(_parse_ambient_character(ambient, piece, offset))
-        offset += len(piece) + 1
-    subgroup = DualSubgroup(ambient, tuple(gens))
+    gens = tuple(
+        _parse_ambient_character(ambient, piece, pos)
+        for piece, pos in _positioned(text.split(";") if text.strip() else [], 0)
+    )
+    subgroup = DualSubgroup(ambient, gens)
     closure = closure_in_dual(subgroup)
     closed = closure.is_finitely_generated and closure.as_dual_subgroup() == subgroup
     return {
@@ -670,19 +652,33 @@ def _run_closure(args, policy, budget):
     }, 0
 
 
+def _human_closure(r):
+    out = [f"ambient: {r['group']}", f"closed: {r['closed']}"]
+    if r["finite_generators"]:
+        out.append("closure generators: " + "; ".join(r["finite_generators"]))
+    for w in r["torus_directions"]:
+        out.append(f"full circle factor along ({', '.join(w)})")
+    return out
+
+
 def _run_radical(args, policy, budget):
     chars = parse_char_list(args.get("chars", "") or "")
-    k = int(args["k"]) if args.get("k") else (len(chars[0]) if chars else None)
-    if k is None:
-        raise CliError("--k is required when no characters are given")
+    k = _rank(args, chars)
     topology = PrecompactTopology.on_free(k, chars)
     radical = von_neumann_radical(topology)
     return {
         "k": _s(k),
-        "characters": [",".join(str(p) for p in c) for c in chars],
+        "characters": [_points(c) for c in chars],
         "lattice_generators": [[_s(x) for x in g] for g in radical.element_generators()],
         "is_trivial": radical.is_trivial(),
     }, 0
+
+
+def _human_radical(r):
+    if r["is_trivial"]:
+        return ["radical: trivial"]
+    gens = "; ".join(",".join(g) for g in r["lattice_generators"])
+    return [f"radical generators: {gens}"]
 
 
 def _run_snf(args, policy, budget):
@@ -699,11 +695,18 @@ def _run_snf(args, policy, budget):
     }, 0
 
 
+def _human_snf(r):
+    out = [f"D diagonal: ({', '.join(r['diagonal'])})"]
+    for name in ("U", "D", "V"):
+        out.append(f"{name} = {';'.join(','.join(row) for row in r[name])}")
+    return out
+
+
 def _membership_result(seq, points, verdict, policy):
     code = 0 if verdict.is_exact else 2
     return {
         "sequence": seq.describe(),
-        "point": ",".join(str(p) for p in points),
+        "point": _points(points),
         "policy": {"horizon": _s(policy.horizon), "tolerance": _fr(policy.tolerance)},
         "verdict": _verdict_payload(verdict),
     }, code
@@ -723,6 +726,20 @@ def _run_smem(args, policy, budget):
     return _membership_result(seq, points, verdict, policy)
 
 
+def _human_membership(r):
+    out = [f"sequence: {r['sequence']}  point: {r['point']}"]
+    v = r["verdict"]
+    if v["status"] == "exact":
+        out.append(f"{'Exact In' if v['member'] else 'Exact Out'}: {v['reason']}")
+    elif v["status"] == "certified_up_to":
+        out.append(f"CERTIFIED UP TO HORIZON {v['horizon']} (no claim beyond)")
+        out.append(f"  {v['reason']}")
+        out.append(f"  worst bound observed: {v['worst_bound']}")
+    else:
+        out.append(f"Undecided: {v['reason']}")
+    return out
+
+
 def _run_profile(args, policy, budget):
     seq = parse_seq(args["seq"])
     max_den = int(args["max_den"])
@@ -738,17 +755,41 @@ def _run_profile(args, policy, budget):
     }, (2 if profile.flagged else 0)
 
 
+def _human_profile(r):
+    out = [
+        f"sequence: {r['sequence']}  denominators up to {r['max_den']}",
+        f"admitted: {{{', '.join(r['admitted'])}}}",
+    ]
+    if r["flagged"]:
+        out.append(f"flagged (not exact): {{{', '.join(r['flagged'])}}}")
+    for e in r["entries"]:
+        mark = (
+            "in"
+            if e["member"]
+            else ("out" if e["status"] == "exact" else e["status"].upper())
+        )
+        out.append(f"  1/{e['q']}: {mark}")
+    return out
+
+
+def _csv_member(member) -> str:
+    return "" if member is None else str(member).lower()
+
+
+def _csv_profile(r):
+    out = ["q,status,member,reason"]
+    for e in r["entries"]:
+        reason = '"' + e["reason"].replace('"', '""') + '"'
+        out.append(f"{e['q']},{e['status']},{_csv_member(e['member'])},{reason}")
+    return out
+
+
 def _run_nullseq(args, policy, budget):
     chars = parse_char_list(args.get("chars", "") or "")
-    k = int(args["k"]) if args.get("k") else (len(chars[0]) if chars else None)
-    if k is None:
-        raise CliError("--k is required when no characters are given")
+    k = _rank(args, chars)
     topology = PrecompactTopology.on_free(k, chars)
     outcome = null_sequence(topology, budget)
-    base = {
-        "k": _s(k),
-        "characters": [",".join(str(p) for p in c) for c in chars],
-    }
+    base = {"k": _s(k), "characters": [_points(c) for c in chars]}
     if isinstance(outcome, NotFound):
         base.update({"found": False, "reason": outcome.reason})
         return base, 2
@@ -763,6 +804,20 @@ def _run_nullseq(args, policy, budget):
     return base, 0
 
 
+def _human_nullseq(r):
+    if not r["found"]:
+        return [f"NOT FOUND: {r['reason']} (no nonexistence claim)"]
+    out = [f"null sequence: {r['sequence']}  (strategy {r['strategy']})"]
+    for tc in r["certificate"][:8]:
+        out.append(
+            f"  n={tc['index']}: a_n=({', '.join(tc['term'])}), "
+            f"norms <= {tc['envelope']}"
+        )
+    if len(r["certificate"]) > 8:
+        out.append(f"  ... {len(r['certificate'])} certified terms")
+    return out
+
+
 def _run_witness(args, policy, budget):
     chars = parse_char_list(args.get("gens", "") or "")
     chi = parse_point_vector(args["chi"])
@@ -773,8 +828,7 @@ def _run_witness(args, policy, budget):
     if isinstance(outcome, Exhausted):
         return {
             "found": False,
-            "generators": [",".join(str(p) for p in c) for c in chars],
-            "chi": ",".join(str(p) for p in chi),
+            **_context_payload(chars, chi),
             "delta": _fr(delta),
             "reason": outcome.reason,
             "candidates_tested": _s(outcome.candidates_tested),
@@ -784,39 +838,39 @@ def _run_witness(args, policy, budget):
     return payload, 0
 
 
+def _human_witness(r):
+    if not r["found"]:
+        return [f"EXHAUSTED: {r['reason']} (asserts nothing)"]
+    out = [f"witness: {r['sequence']}  delta={r['delta']}  strategy={r['strategy']}"]
+    for tc in r["escape_certificate"][:6]:
+        out.append(
+            f"  n={tc['index']}: a_n=({', '.join(tc['term'])}), "
+            f"escape norm >= {tc['threshold']}"
+        )
+    if len(r["escape_certificate"]) > 6:
+        out.append(f"  ... {len(r['escape_certificate'])} certified terms")
+    return out
+
+
 def _run_gmem(args, policy, budget):
     chars = parse_char_list(args.get("gens", "") or "")
     chi = parse_point_vector(args["chi"])
     topology = PrecompactTopology.on_free(len(chi), chars)
     outcome = g_membership_experiment(topology, chi, budget)
-    base = {
-        "generators": [",".join(str(p) for p in c) for c in chars],
-        "chi": ",".join(str(p) for p in chi),
-    }
+    result = {**_context_payload(chars, chi), **_g_outcome_payload(outcome, chars, chi)}
     if isinstance(outcome, NotInGClosure):
-        base.update(
-            {
-                "outcome": "not_in_g_closure",
-                "delta": _fr(outcome.delta),
-                "witness": _witness_payload(outcome.witness, chars, chi),
-            }
-        )
-        return base, 0
-    base.update(
-        {
-            "outcome": "consistent_with_membership",
-            "attempts": [
-                {
-                    "delta": _fr(d),
-                    "reason": e.reason,
-                    "candidates_tested": _s(e.candidates_tested),
-                }
-                for d, e in outcome.attempts
-            ],
-            "note": outcome.note,
-        }
-    )
-    return base, 2
+        return result, 0
+    result["note"] = outcome.note
+    return result, 2
+
+
+def _human_gmem(r):
+    if r["outcome"] == "not_in_g_closure":
+        return [
+            f"NOT in g-closure (witness at delta={r['delta']})",
+            f"witness sequence: {r['witness']['sequence']}",
+        ]
+    return ["consistent with membership (no witness at any threshold)", r["note"]]
 
 
 def _run_bds(args, policy, budget):
@@ -824,34 +878,7 @@ def _run_bds(args, policy, budget):
     probes = [parse_point(p) for p in (args["probes"].split(";") if args["probes"].strip() else [])]
     bound = int(args.get("multiple_bound") or 10)
     report = bds_experiment(alpha, probes, budget, bound)
-    probe_rows = []
-    all_decided = True
-    for p, res in report.probes:
-        if isinstance(res, NotInGClosure):
-            probe_rows.append(
-                {
-                    "probe": str(p),
-                    "outcome": "not_in_g_closure",
-                    "delta": _fr(res.delta),
-                    "witness": _witness_payload(res.witness, ((alpha,),), (p,)),
-                }
-            )
-        else:
-            all_decided = False
-            probe_rows.append(
-                {
-                    "probe": str(p),
-                    "outcome": "consistent_with_membership",
-                    "attempts": [
-                        {
-                            "delta": _fr(d),
-                            "reason": e.reason,
-                            "candidates_tested": _s(e.candidates_tested),
-                        }
-                        for d, e in res.attempts
-                    ],
-                }
-            )
+    all_decided = all(isinstance(res, NotInGClosure) for _, res in report.probes)
     code = 0 if (report.inclusion_verified and all_decided) else 2
     return {
         "alpha": str(alpha),
@@ -861,23 +888,163 @@ def _run_bds(args, policy, budget):
             for j, v in report.multiples
         ],
         "inclusion_verified": report.inclusion_verified,
-        "probes": probe_rows,
+        "probes": [
+            {"probe": str(p), **_g_outcome_payload(res, ((alpha,),), (p,))}
+            for p, res in report.probes
+        ],
         "note": report.note,
     }, code
 
 
-_HANDLERS = {
-    "dual": _run_dual,
-    "closure": _run_closure,
-    "radical": _run_radical,
-    "snf": _run_snf,
-    "tmem": _run_tmem,
-    "smem": _run_smem,
-    "profile": _run_profile,
-    "nullseq": _run_nullseq,
-    "witness": _run_witness,
-    "gmem": _run_gmem,
-    "bds": _run_bds,
+def _human_bds(r):
+    out = [
+        f"alpha: {r['alpha']}",
+        f"multiples |j| <= {r['multiple_bound']} all annihilated: "
+        f"{r['inclusion_verified']}",
+    ]
+    for row in r["probes"]:
+        if row["outcome"] == "not_in_g_closure":
+            out.append(
+                f"  probe {row['probe']}: NOT in g-closure "
+                f"(delta={row['delta']}, {row['witness']['sequence']})"
+            )
+        else:
+            out.append(f"  probe {row['probe']}: consistent with membership")
+    out.append(r["note"])
+    return out
+
+
+def _csv_bds(r):
+    out = ["kind,label,status,detail"]
+    for row in r["multiples"]:
+        out.append(f"multiple,{row['j']},{row['status']},{_csv_member(row['member'])}")
+    for row in r["probes"]:
+        out.append(f"probe,{row['probe']},{row['outcome']},{row.get('delta', '')}")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the verb table: the only place a verb is declared
+
+
+@dataclass(frozen=True)
+class _Verb:
+    help: str
+    arguments: tuple  # (flag, argparse keyword arguments), in --help order
+    handler: Callable[[dict, Policy, Budget], tuple[dict, int]]
+    human: Callable[[dict], list[str]]
+    budgeted: bool = False
+    csv: Callable[[dict], list[str]] | None = None
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """The Command.arguments keys, argparse's dest for each flag."""
+        return tuple(flag[2:].replace("-", "_") for flag, _ in self.arguments)
+
+
+def _arg(flag: str, **kwargs) -> tuple[str, dict]:
+    return flag, kwargs
+
+
+_VERBS = {
+    "dual": _Verb(
+        "structure of a finitely presented abelian group",
+        (
+            _arg("--relations", default="", help="relation rows, e.g. '2,0;0,3'"),
+            _arg("--generators", required=True, help="number of generators"),
+        ),
+        _run_dual,
+        _human_dual,
+    ),
+    "closure": _Verb(
+        "closure of a character subgroup in the dual",
+        (
+            _arg("--group", required=True, help="ambient group, e.g. 'Z^2+Z/4'"),
+            _arg("--gens", default="", help="characters 'coords;coords;...'"),
+        ),
+        _run_closure,
+        _human_closure,
+    ),
+    "radical": _Verb(
+        "von Neumann radical of a character topology",
+        (
+            _arg("--k", help="ambient rank (required if no characters)"),
+            _arg("--chars", default="", help="character vectors 'pts;pts;...'"),
+        ),
+        _run_radical,
+        _human_radical,
+    ),
+    "snf": _Verb(
+        "Smith normal form with transforms",
+        (_arg("--matrix", required=True, help="integer matrix 'a,b;c,d'"),),
+        _run_snf,
+        _human_snf,
+    ),
+    "tmem": _Verb(
+        "topological torsion membership on the circle",
+        (
+            _arg("--seq", required=True, help="sequence literal, e.g. geom:2"),
+            _arg("--point", required=True, help="circle point, e.g. 1/3"),
+        ),
+        _run_tmem,
+        _human_membership,
+    ),
+    "smem": _Verb(
+        "membership for a vector of circle points",
+        (
+            _arg("--seq", required=True),
+            _arg("--point", required=True, help="comma-separated points"),
+        ),
+        _run_smem,
+        _human_membership,
+    ),
+    "profile": _Verb(
+        "rational torsion profile of a sequence",
+        (_arg("--seq", required=True), _arg("--max-den", required=True)),
+        _run_profile,
+        _human_profile,
+        csv=_csv_profile,
+    ),
+    "nullseq": _Verb(
+        "certified null sequence for a topology",
+        (
+            _arg("--k", help="ambient rank (required if no characters)"),
+            _arg("--chars", default=""),
+        ),
+        _run_nullseq,
+        _human_nullseq,
+        budgeted=True,
+    ),
+    "witness": _Verb(
+        "escape witness search",
+        (
+            _arg("--gens", default="", help="generators of H"),
+            _arg("--chi", required=True, help="candidate character"),
+            _arg("--delta", required=True, help="escape threshold in (0, 1/2]"),
+        ),
+        _run_witness,
+        _human_witness,
+        budgeted=True,
+    ),
+    "gmem": _Verb(
+        "g-closure membership experiment",
+        (_arg("--gens", default=""), _arg("--chi", required=True)),
+        _run_gmem,
+        _human_gmem,
+        budgeted=True,
+    ),
+    "bds": _Verb(
+        "countable-subgroup closedness experiment",
+        (
+            _arg("--alpha", required=True, help="quadratic irrational point"),
+            _arg("--probes", required=True, help="probe points 'p;q;...'"),
+            _arg("--multiple-bound", default="10"),
+        ),
+        _run_bds,
+        _human_bds,
+        budgeted=True,
+        csv=_csv_bds,
+    ),
 }
 
 
@@ -885,131 +1052,25 @@ _HANDLERS = {
 # output formatting
 
 
-def _human_verdict(v: dict, out: list[str]):
-    status = v["status"]
-    if status == "exact":
-        head = "Exact In" if v["member"] else "Exact Out"
-        out.append(f"{head}: {v['reason']}")
-    elif status == "certified_up_to":
-        out.append(f"CERTIFIED UP TO HORIZON {v['horizon']} (no claim beyond)")
-        out.append(f"  {v['reason']}")
-        out.append(f"  worst bound observed: {v['worst_bound']}")
-    else:
-        out.append(f"Undecided: {v['reason']}")
-
-
 def _format_human(report: Report) -> str:
-    out = [f"gclose {report.verb} (kernel {report.kernel_version})"]
-    r = report.result
-    verb = report.verb
-    if verb in ("tmem", "smem"):
-        out.append(f"sequence: {r['sequence']}  point: {r['point']}")
-        _human_verdict(r["verdict"], out)
-    elif verb == "profile":
-        out.append(f"sequence: {r['sequence']}  denominators up to {r['max_den']}")
-        out.append(f"admitted: {{{', '.join(r['admitted'])}}}")
-        if r["flagged"]:
-            out.append(f"flagged (not exact): {{{', '.join(r['flagged'])}}}")
-        for e in r["entries"]:
-            mark = (
-                "in"
-                if e["member"]
-                else ("out" if e["status"] == "exact" else e["status"].upper())
-            )
-            out.append(f"  1/{e['q']}: {mark}")
-    elif verb == "snf":
-        out.append(f"D diagonal: ({', '.join(r['diagonal'])})")
-        for name in ("U", "D", "V"):
-            rows = ";".join(",".join(row) for row in r[name])
-            out.append(f"{name} = {rows}")
-    elif verb == "dual":
-        out.append(f"presented group: {r['group']}")
-    elif verb == "radical":
-        gens = r["lattice_generators"]
-        out.append(
-            "radical: trivial"
-            if r["is_trivial"]
-            else "radical generators: " + "; ".join(",".join(g) for g in gens)
-        )
-    elif verb == "closure":
-        out.append(f"ambient: {r['group']}")
-        out.append(f"closed: {r['closed']}")
-        if r["finite_generators"]:
-            out.append("closure generators: " + "; ".join(r["finite_generators"]))
-        for w in r["torus_directions"]:
-            out.append(f"full circle factor along ({', '.join(w)})")
-    elif verb == "nullseq":
-        if r["found"]:
-            out.append(f"null sequence: {r['sequence']}  (strategy {r['strategy']})")
-            for tc in r["certificate"][:8]:
-                out.append(
-                    f"  n={tc['index']}: a_n=({', '.join(tc['term'])}), "
-                    f"norms <= {tc['envelope']}"
-                )
-            if len(r["certificate"]) > 8:
-                out.append(f"  ... {len(r['certificate'])} certified terms")
-        else:
-            out.append(f"NOT FOUND: {r['reason']} (no nonexistence claim)")
-    elif verb == "witness":
-        if r["found"]:
-            out.append(
-                f"witness: {r['sequence']}  delta={r['delta']}  strategy={r['strategy']}"
-            )
-            for tc in r["escape_certificate"][:6]:
-                out.append(
-                    f"  n={tc['index']}: a_n=({', '.join(tc['term'])}), "
-                    f"escape norm >= {tc['threshold']}"
-                )
-            if len(r["escape_certificate"]) > 6:
-                out.append(f"  ... {len(r['escape_certificate'])} certified terms")
-        else:
-            out.append(f"EXHAUSTED: {r['reason']} (asserts nothing)")
-    elif verb == "gmem":
-        if r["outcome"] == "not_in_g_closure":
-            out.append(f"NOT in g-closure (witness at delta={r['delta']})")
-            out.append(f"witness sequence: {r['witness']['sequence']}")
-        else:
-            out.append("consistent with membership (no witness at any threshold)")
-            out.append(r["note"])
-    elif verb == "bds":
-        out.append(f"alpha: {r['alpha']}")
-        out.append(
-            f"multiples |j| <= {r['multiple_bound']} all annihilated: "
-            f"{r['inclusion_verified']}"
-        )
-        for row in r["probes"]:
-            if row["outcome"] == "not_in_g_closure":
-                out.append(
-                    f"  probe {row['probe']}: NOT in g-closure "
-                    f"(delta={row['delta']}, {row['witness']['sequence']})"
-                )
-            else:
-                out.append(f"  probe {row['probe']}: consistent with membership")
-        out.append(r["note"])
-    out.append(f"config: {json.dumps(report.config, sort_keys=True)}")
-    out.append(f"[{report.timing_seconds:.3f}s] {report.note}")
-    return "\n".join(out)
+    return "\n".join(
+        [
+            f"gclose {report.verb} (kernel {report.kernel_version})",
+            *_VERBS[report.verb].human(report.result),
+            f"config: {json.dumps(report.config, sort_keys=True)}",
+            f"[{report.timing_seconds:.3f}s] {report.note}",
+        ]
+    )
 
 
 def _format_csv(report: Report) -> str:
-    r = report.result
-    if report.verb == "profile":
-        lines = ["q,status,member,reason"]
-        for e in r["entries"]:
-            member = "" if e["member"] is None else str(e["member"]).lower()
-            reason = '"' + e["reason"].replace('"', '""') + '"'
-            lines.append(f"{e['q']},{e['status']},{member},{reason}")
-        return "\n".join(lines)
-    if report.verb == "bds":
-        lines = ["kind,label,status,detail"]
-        for row in r["multiples"]:
-            member = "" if row["member"] is None else str(row["member"]).lower()
-            lines.append(f"multiple,{row['j']},{row['status']},{member}")
-        for row in r["probes"]:
-            detail = row.get("delta", "")
-            lines.append(f"probe,{row['probe']},{row['outcome']},{detail}")
-        return "\n".join(lines)
-    raise CliError(f"csv format is not available for verb {report.verb!r}")
+    csv = _VERBS[report.verb].csv
+    if csv is None:
+        raise CliError(f"csv format is not available for verb {report.verb!r}")
+    return "\n".join(csv(report.result))
+
+
+_FORMATTERS = {"json": report_to_json, "csv": _format_csv, "human": _format_human}
 
 
 # ---------------------------------------------------------------------------
@@ -1018,11 +1079,11 @@ def _format_csv(report: Report) -> str:
 
 def run(command: Command) -> tuple[Report, int]:
     """Dispatch a parsed command; returns the report and the exit code."""
-    if command.verb not in _HANDLERS:
+    if command.verb not in _VERBS:
         raise CliError(f"unknown verb {command.verb!r}")
     policy, budget, echo = _resolve_config(command.policy)
     started = time.perf_counter()
-    result, code = _HANDLERS[command.verb](command.arguments, policy, budget)
+    result, code = _VERBS[command.verb].handler(command.arguments, policy, budget)
     elapsed = time.perf_counter() - started
     report = Report(
         SCHEMA_VERSION,
@@ -1042,90 +1103,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@cache
 def _build_parser() -> _ArgumentParser:
+    """The one parser, built from _VERBS on first use and reused after."""
     parser = _ArgumentParser(prog="gclose", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def common(p, budgeted=False):
+    for name, verb in _VERBS.items():
+        p = sub.add_parser(name, help=verb.help)
+        for flag, kwargs in verb.arguments:
+            p.add_argument(flag, **kwargs)
         p.add_argument("--horizon", help="scan horizon (default 512)")
         p.add_argument("--tolerance", help="scan tolerance, e.g. 1/1048576 or 2^-20")
-        if budgeted:
+        if verb.budgeted:
             p.add_argument("--budget", help="search budget 'max_terms,max_candidates'")
         p.add_argument("--format", choices=("json", "csv", "human"), default="human")
         p.add_argument("--output", help="write the report to this path")
-
-    p = sub.add_parser("dual", help="structure of a finitely presented abelian group")
-    p.add_argument("--relations", default="", help="relation rows, e.g. '2,0;0,3'")
-    p.add_argument("--generators", required=True, help="number of generators")
-    common(p)
-
-    p = sub.add_parser("closure", help="closure of a character subgroup in the dual")
-    p.add_argument("--group", required=True, help="ambient group, e.g. 'Z^2+Z/4'")
-    p.add_argument("--gens", default="", help="characters 'coords;coords;...'")
-    common(p)
-
-    p = sub.add_parser("radical", help="von Neumann radical of a character topology")
-    p.add_argument("--k", help="ambient rank (required if no characters)")
-    p.add_argument("--chars", default="", help="character vectors 'pts;pts;...'")
-    common(p)
-
-    p = sub.add_parser("snf", help="Smith normal form with transforms")
-    p.add_argument("--matrix", required=True, help="integer matrix 'a,b;c,d'")
-    common(p)
-
-    p = sub.add_parser("tmem", help="topological torsion membership on the circle")
-    p.add_argument("--seq", required=True, help="sequence literal, e.g. geom:2")
-    p.add_argument("--point", required=True, help="circle point, e.g. 1/3")
-    common(p)
-
-    p = sub.add_parser("smem", help="membership for a vector of circle points")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--point", required=True, help="comma-separated points")
-    common(p)
-
-    p = sub.add_parser("profile", help="rational torsion profile of a sequence")
-    p.add_argument("--seq", required=True)
-    p.add_argument("--max-den", dest="max_den", required=True)
-    common(p)
-
-    p = sub.add_parser("nullseq", help="certified null sequence for a topology")
-    p.add_argument("--k", help="ambient rank (required if no characters)")
-    p.add_argument("--chars", default="")
-    common(p, budgeted=True)
-
-    p = sub.add_parser("witness", help="escape witness search")
-    p.add_argument("--gens", default="", help="generators of H")
-    p.add_argument("--chi", required=True, help="candidate character")
-    p.add_argument("--delta", required=True, help="escape threshold in (0, 1/2]")
-    common(p, budgeted=True)
-
-    p = sub.add_parser("gmem", help="g-closure membership experiment")
-    p.add_argument("--gens", default="")
-    p.add_argument("--chi", required=True)
-    common(p, budgeted=True)
-
-    p = sub.add_parser("bds", help="countable-subgroup closedness experiment")
-    p.add_argument("--alpha", required=True, help="quadratic irrational point")
-    p.add_argument("--probes", required=True, help="probe points 'p;q;...'")
-    p.add_argument("--multiple-bound", dest="multiple_bound", default="10")
-    common(p, budgeted=True)
-
     return parser
-
-
-_ARG_KEYS = {
-    "dual": ("relations", "generators"),
-    "closure": ("group", "gens"),
-    "radical": ("k", "chars"),
-    "snf": ("matrix",),
-    "tmem": ("seq", "point"),
-    "smem": ("seq", "point"),
-    "profile": ("seq", "max_den"),
-    "nullseq": ("k", "chars"),
-    "witness": ("gens", "chi", "delta"),
-    "gmem": ("gens", "chi"),
-    "bds": ("alpha", "probes", "multiple_bound"),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1134,31 +1127,19 @@ def main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(argv)
         arguments = {
             key: getattr(ns, key)
-            for key in _ARG_KEYS[ns.verb]
-            if getattr(ns, key, None) is not None
+            for key in _VERBS[ns.verb].keys
+            if getattr(ns, key) is not None
         }
-        policy = {
-            "horizon": getattr(ns, "horizon", None),
-            "tolerance": getattr(ns, "tolerance", None),
-            "budget": getattr(ns, "budget", None),
-        }
+        policy = {key: getattr(ns, key, None) for key in ("horizon", "tolerance", "budget")}
         command = Command(ns.verb, arguments, policy, ns.output, ns.format)
         report, code = run(command)
-        if command.fmt == "json":
-            text = report_to_json(report)
-        elif command.fmt == "csv":
-            text = _format_csv(report)
-        else:
-            text = _format_human(report)
+        text = _FORMATTERS[command.fmt](report)
         if command.output_path:
             with open(command.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         else:
             print(text)
         return code
-    except (ParseError, CliError) as exc:
-        print(f"gclose: error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"gclose: error: {exc}", file=sys.stderr)
         return 1

@@ -337,18 +337,6 @@ class FgAbelianGroup:
     def is_free(self) -> bool:
         return not self.invariant_factors
 
-    @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    def order(self) -> int:
-        if not self.is_finite:
-            raise DualityError("infinite group has no order")
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
-
     def relation_columns(self) -> list[tuple[int, ...]]:
         n = self.ncoords
         cols = []
@@ -483,14 +471,6 @@ class Sublattice:
             if any(red):
                 out.append(red)
         return out
-
-    def quotient_invariants(self) -> FgAbelianGroup:
-        """Structure of ambient / self."""
-        _, d, _ = smith_normal_form(self.basis)
-        diag = d.diagonal()
-        factors = tuple(x for x in diag if x > 1)
-        free = self.ambient.ncoords - sum(1 for x in diag if x != 0)
-        return FgAbelianGroup(free, factors)
 
     def __str__(self) -> str:
         gens = self.element_generators()

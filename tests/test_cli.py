@@ -4,14 +4,18 @@ must either parse or raise a structured ParseError, never anything else.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclose import cli
 from gclose.circle import CirclePoint
 from gclose.cli import (
+    MAX_RADICAND,
+    MAX_SEQ_DEPTH,
     CliError,
     Command,
     ParseError,
@@ -89,6 +93,25 @@ def test_large_square_radicand_is_rejected_at_once(capsys):
     )
 
 
+def test_radicand_above_bound_is_rejected_at_once(capsys):
+    d = 10**17 + 3  # not a square; trial division to sqrt(d) would not finish
+    point = f"quad:(1+1*sqrt({d}))/3"
+    started = time.perf_counter()
+    with pytest.raises(ParseError, match=f"radicand {d} exceeds {MAX_RADICAND}") as e:
+        parse_point(point)
+    assert e.value.position == 15
+    assert main(["tmem", "--seq", "geom:2", "--point", point]) == 1
+    assert time.perf_counter() - started < 1
+    assert capsys.readouterr().err == (
+        f"gclose: error: at position 15: radicand {d} exceeds {MAX_RADICAND}\n"
+    )
+
+
+def test_radicand_just_under_bound_parses():
+    d = MAX_RADICAND - 11
+    assert parse_point(f"quad:(1+1*sqrt({d}))/3").den == 3
+
+
 def test_parse_fraction_forms():
     assert parse_fraction("3/4") == Fraction(3, 4)
     assert parse_fraction("5") == Fraction(5)
@@ -152,6 +175,35 @@ def test_parse_seq_errors():
                 "list:", "const:", "sub(2,0):nope", ""):
         with pytest.raises(ParseError):
             parse_seq(bad)
+
+
+def _nested_sub(levels):
+    return "sub(1,0):" * levels + "geom:2"
+
+
+def _nested_interleave(levels):
+    text = "geom:2"
+    for _ in range(levels):
+        text = f"interleave({text}@1)"
+    return text
+
+
+@pytest.mark.parametrize(
+    "nest,step", [(_nested_sub, len("sub(1,0):")), (_nested_interleave, len("interleave("))]
+)
+def test_sequence_nesting_is_capped(nest, step, capsys):
+    assert parse_seq(nest(MAX_SEQ_DEPTH)).describe() == nest(MAX_SEQ_DEPTH)
+    message = f"sequence nests deeper than {MAX_SEQ_DEPTH} levels"
+    for levels in (MAX_SEQ_DEPTH + 1, 2000 if nest is _nested_sub else 400):
+        with pytest.raises(ParseError, match=message) as e:
+            parse_seq(nest(levels))
+        assert e.value.position == MAX_SEQ_DEPTH * step
+        assert main(["smem", "--seq", nest(levels), "--point", "1/3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"gclose: error: at position {MAX_SEQ_DEPTH * step}: {message}\n"
+        )
 
 
 @given(
@@ -408,3 +460,66 @@ def test_human_format_certified_horizon(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "Undecided" in out or "CERTIFIED UP TO HORIZON" in out
+
+
+# the verb table ------------------------------------------------------------------
+
+# one cheap, well-formed invocation of every verb
+SAMPLE_ARGV = {
+    "dual": ["--generators", "1"],
+    "closure": ["--group", "Z"],
+    "radical": ["--k", "1"],
+    "snf": ["--matrix", "1"],
+    "tmem": ["--seq", "geom:2", "--point", "1/2"],
+    "smem": ["--seq", "geom:2*(1,1)", "--point", "1/2,1/4"],
+    "profile": ["--seq", "geom:2", "--max-den", "4"],
+    "nullseq": ["--k", "1", "--budget", "3,8"],
+    "witness": ["--chi", "1/2", "--delta", "1/2", "--budget", "3,8"],
+    "gmem": ["--chi", "1/2", "--budget", "3,8"],
+    "bds": ["--alpha", "quad:(-1+1*sqrt(5))/2", "--probes", "1/2", "--multiple-bound", "1",
+            "--budget", "3,8"],
+}
+
+
+def test_every_verb_has_parser_handler_and_human_formatter():
+    parser = cli._build_parser()
+    assert parser is cli._build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "verb").choices
+    assert list(subparsers) == list(cli._VERBS) == list(SAMPLE_ARGV)
+    for name, verb in cli._VERBS.items():
+        assert callable(verb.handler) and callable(verb.human)
+        dests = {a.dest for a in subparsers[name]._actions}
+        assert set(verb.keys) <= dests
+        assert ("budget" in dests) == verb.budgeted
+
+
+@pytest.mark.parametrize("verb", list(SAMPLE_ARGV))
+def test_csv_format_exactly_for_profile_and_bds(verb, capsys):
+    human = main([verb, *SAMPLE_ARGV[verb]])
+    capsys.readouterr()
+    assert human in (0, 2)
+    code = main([verb, *SAMPLE_ARGV[verb], "--format", "csv"])
+    captured = capsys.readouterr()
+    if verb in ("profile", "bds"):
+        assert code == human and captured.out and not captured.err
+    else:
+        assert code == 1 and not captured.out
+        assert captured.err == (
+            f"gclose: error: csv format is not available for verb {verb!r}\n"
+        )
+
+
+def test_successive_main_calls_share_no_state(capsys):
+    bds = ["bds", "--alpha", "quad:(-1+1*sqrt(5))/2", "--probes", "1/2"]
+    bds += ["--multiple-bound", "3"]
+    main([*bds, "--budget", "3,8", "--format", "json"])
+    assert json.loads(capsys.readouterr().out)["arguments"]["multiple_bound"] == "3"
+    assert main(["tmem", "--seq", "geom:2", "--point", "5/8", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["arguments"] == {"seq": "geom:2", "point": "5/8"}
+    assert report["config"]["sources"]["budget"] == "default"
+    for bad in (["tmem", "--seq", "geom:2"], ["tmem", "--seq", "geom:2", "--bogus", "1"]):
+        assert main(bad) == 1
+        assert capsys.readouterr().err.startswith("gclose: error: ")
+        assert main(["tmem", "--seq", "geom:2", "--point", "5/8"]) == 0
+        assert capsys.readouterr().out.startswith("gclose tmem")

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from gclose import cli
 from gclose.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -49,8 +50,7 @@ CASES = _cases()
 def test_corpus_covers_every_verb_format_and_exit_code():
     texts = {name: (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8") for name, _ in CASES}
     verbs = {argv[0] for _, argv in CASES}
-    assert {"dual", "closure", "radical", "snf", "tmem", "smem", "profile",
-            "nullseq", "witness", "gmem", "bds"} <= verbs
+    assert set(cli._VERBS) <= verbs
     formats = {
         argv[argv.index("--format") + 1] if "--format" in argv else "human"
         for _, argv in CASES
