@@ -198,45 +198,20 @@ class CirclePoint:
             raise CircleError("not a rational point")
         return Fraction(self.num, self.den)
 
-    @property
-    def rational_part(self) -> Fraction:
-        return Fraction(self.num, self.den)
-
-    @property
-    def surd_part(self) -> Fraction:
-        """Coefficient of sqrt(surd) in the real value."""
-        return Fraction(self.surd_coeff, self.den)
-
     def is_zero(self) -> bool:
         return self.num == 0 and self.surd_coeff == 0
 
     def value_cmp(self, fr: Fraction) -> int:
         """Sign of (value - fr).  Exact."""
-        fr = Fraction(fr)
-        a = self.num * fr.denominator - fr.numerator * self.den
-        b = self.surd_coeff * fr.denominator
-        if self.is_rational:
-            return _sign(a)
-        return _sign_surd(a, b, self.surd)
+        return SurdSum.from_point(self).cmp(fr)
 
     def norm_cmp(self, fr: Fraction) -> int:
         """Sign of (||x|| - fr) where ||x|| = min(x, 1-x).  Exact."""
-        if self.value_cmp(_HALF) <= 0:
-            return self.value_cmp(fr)
-        # norm is 1 - value; compare against fr via value vs 1 - fr
-        return -self.value_cmp(1 - Fraction(fr))
+        return SurdSum.from_point(self).norm_cmp(fr)
 
     def enclosure(self, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
         """Enclosure of the representative in [0, 1), width <= tol if inexact."""
-        if self.is_rational:
-            return Enclosure.point(Fraction(self.num, self.den))
-        stol = Fraction(tol) * self.den / abs(self.surd_coeff)
-        lo, hi = sqrt_enclosure(self.surd, stol)
-        b = self.surd_coeff
-        slo, shi = (lo, hi) if b > 0 else (hi, lo)
-        return Enclosure.interval(
-            (self.num + b * slo) / self.den, (self.num + b * shi) / self.den
-        )
+        return SurdSum.from_point(self).enclosure(tol)
 
     def __neg__(self) -> "CirclePoint":
         return CirclePoint.quadratic(-self.num, -self.surd_coeff, self.den, self.surd)
@@ -277,13 +252,7 @@ def norm(x: CirclePoint, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
     Exact for rational points.  For quadratic points the result is an
     interval of width <= tol, refinable by calling again with a smaller tol.
     """
-    if x.is_rational:
-        r = Fraction(x.num, x.den)
-        return Enclosure.point(min(r, 1 - r))
-    e = x.enclosure(tol)
-    if x.value_cmp(_HALF) < 0:
-        return Enclosure.interval(max(Fraction(0), e.lower), min(e.upper, _HALF))
-    return Enclosure.interval(max(Fraction(0), 1 - e.upper), min(1 - e.lower, _HALF))
+    return SurdSum.from_point(x).norm_enclosure(tol)
 
 
 @dataclass(frozen=True)
@@ -306,8 +275,10 @@ class SurdSum:
 
     @classmethod
     def from_point(cls, x: CirclePoint, mult: int = 1) -> "SurdSum":
-        parts = {} if x.is_rational else {x.surd: Fraction(mult * x.surd_coeff, x.den)}
-        return cls.build(Fraction(mult * x.num, x.den), parts)
+        rat = Fraction(mult * x.num, x.den)
+        if x.is_rational or not mult:
+            return cls(rat)
+        return cls(rat, ((x.surd, Fraction(mult * x.surd_coeff, x.den)),))
 
     def __add__(self, other):
         if not isinstance(other, SurdSum):
@@ -522,14 +493,4 @@ def convergent_denominators(cf: CFExpansion, count: int) -> list[int]:
     """First ``count`` convergent denominators q_0, ..., q_{count-1}."""
     if count <= 0:
         return []
-    if cf.is_finite and count > len(cf.quotients):
-        raise BoundedExpansionError(
-            f"finite expansion has only {len(cf.quotients)} convergents"
-        )
-    qs = []
-    qm1, qm2 = 0, 1
-    for k in range(count):
-        q = cf.quotient(k) * qm1 + qm2
-        qs.append(q)
-        qm1, qm2 = q, qm1
-    return qs
+    return [q for _, q in convergents(cf, count - 1)]

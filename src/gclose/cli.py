@@ -111,14 +111,6 @@ MAX_RADICAND = 10**12
 MAX_SEQ_DEPTH = 64
 
 
-def _int_at(text: str, pos: int) -> int:
-    piece = text[pos:].strip()
-    try:
-        return int(piece)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {piece!r}", pos) from None
-
-
 def _int(text: str, pos: int, what: str) -> int:
     try:
         return int(text.strip())
@@ -321,9 +313,10 @@ def _parse_seq(text: str, base: int, depth: int) -> IntVecSeq:
                 if not pat.endswith(")"):
                     raise ParseError("unclosed pattern", base + len(t) - 1)
                 return Geometric(
-                    _int_at(head, 0), _parse_int_tuple(pat[:-1], base + 5 + len(head) + 2)
+                    _int(head, base + 5, "geometric base"),
+                    _parse_int_tuple(pat[:-1], base + 5 + len(head) + 2),
                 )
-            return Geometric(_int_at(body, 0))
+            return Geometric(_int(body, base + 5, "geometric base"))
         if t == "fact":
             return Factorial()
         if t.startswith("fact*("):

@@ -479,6 +479,45 @@ class Sublattice:
         return "span{" + "; ".join(",".join(str(x) for x in g) for g in gens) + "}"
 
 
+def _scaled(coeffs: list[Fraction | int]) -> tuple[list[int], int, int]:
+    """coeffs times their common denominator: (row, rhs, denominator), the
+    last coefficient being the right-hand side."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+    return ints[:-1], ints[-1], den
+
+
+def _mod_one_rows(
+    values: list[SurdSum], target: SurdSum
+) -> list[tuple[list[int], int, int]]:
+    """sum_i x_i * values[i] = target (mod 1) for integers x_i, as integer rows
+    (row, rhs, modulus): one exact equation (modulus 0) per surd base, since
+    square roots of distinct squarefree bases are independent over Q, then
+    one congruence modulo the common denominator of the rational parts."""
+    surds = [dict(v.terms) for v in values] + [dict(target.terms)]
+    rows = []
+    for d in sorted(set().union(*surds)):
+        row, rhs, _ = _scaled([s.get(d, 0) for s in surds])
+        rows.append((row, rhs, 0))
+    return rows + [_scaled([v.rat for v in values] + [target.rat])]
+
+
+def _stack(
+    rows: list[tuple[list[int], int, int]], width: int
+) -> tuple[IntMatrix, list[int]]:
+    """The integer system of rows over width unknowns, with one slack column
+    per congruence (modulus != 0) holding its modulus; returns (matrix, rhs)."""
+    moduli = [m for _, _, m in rows if m]
+    full, slot = [], 0
+    for row, _, m in rows:
+        slack = [0] * len(moduli)
+        if m:
+            slack[slot] = m
+            slot += 1
+        full.append(row + slack)
+    return IntMatrix.from_rows(full, width + len(moduli)), [b for _, b, _ in rows]
+
+
 @dataclass(frozen=True)
 class DualSubgroup:
     """Finitely generated subgroup of the dual of the ambient group."""
@@ -498,47 +537,13 @@ class DualSubgroup:
     def contains(self, chi: Character) -> bool:
         """Is chi an integer combination of the generators (mod 1, exactly)?"""
         chi = Character.make(self.ambient, chi.free, chi.torsion)
-        rows: list[list[int]] = []
-        rhs: list[int] = []
-        moduli: list[int] = []  # 0 marks an exact equation row
-        ngen = len(self.generators)
-        r = self.ambient.free_rank
-        for j in range(r):
-            target = chi.free[j]
-            bases = {g.free[j].surd for g in self.generators if not g.free[j].is_rational}
-            if not target.is_rational:
-                bases.add(target.surd)
-            for d in sorted(bases):
-                coeffs = [
-                    g.free[j].surd_part if g.free[j].surd == d else Fraction(0)
-                    for g in self.generators
-                ]
-                tgt = target.surd_part if target.surd == d else Fraction(0)
-                den = lcm(tgt.denominator, *(c.denominator for c in coeffs)) if coeffs else tgt.denominator
-                rows.append([int(c * den) for c in coeffs])
-                rhs.append(int(tgt * den))
-                moduli.append(0)
-            coeffs = [g.free[j].rational_part for g in self.generators]
-            tgt = chi.free[j].rational_part
-            den = lcm(tgt.denominator, *(c.denominator for c in coeffs)) if coeffs else tgt.denominator
-            rows.append([int(c * den) for c in coeffs])
-            rhs.append(int(tgt * den))
-            moduli.append(den)
+        rows = []
+        for j in range(self.ambient.free_rank):
+            values = [SurdSum.from_point(g.free[j]) for g in self.generators]
+            rows += _mod_one_rows(values, SurdSum.from_point(chi.free[j]))
         for l, d in enumerate(self.ambient.invariant_factors):
-            rows.append([g.torsion[l] for g in self.generators])
-            rhs.append(chi.torsion[l])
-            moduli.append(d)
-        nslack = sum(1 for m in moduli if m)
-        full_rows = []
-        slot = 0
-        for row, m in zip(rows, moduli):
-            slack = [0] * nslack
-            if m:
-                slack[slot] = m
-                slot += 1
-            full_rows.append(row + slack)
-        system = IntMatrix.from_rows(full_rows, ngen + nslack)
-        return system_solvable(system, rhs)
+            rows.append(([g.torsion[l] for g in self.generators], chi.torsion[l], d))
+        return system_solvable(*_stack(rows, len(self.generators)))
 
     def __eq__(self, other):
         if not isinstance(other, DualSubgroup):
@@ -597,36 +602,15 @@ def annihilator(subgroup: DualSubgroup) -> Sublattice:
     """
     ambient = subgroup.ambient
     n = ambient.ncoords
-    r = ambient.free_rank
-    eq_rows: list[list[int]] = []
-    cong_rows: list[tuple[list[int], int]] = []
+    equations, congruences = [], []
     for g in subgroup.generators:
-        bases = sorted({p.surd for p in g.free if not p.is_rational})
-        for d in bases:
-            coeffs = [
-                g.free[j].surd_part if (j < r and g.free[j].surd == d) else Fraction(0)
-                for j in range(n)
-            ]
-            den = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
-            eq_rows.append([int(c * den) for c in coeffs])
-        parts = [g.free[j].rational_part for j in range(r)] + [
-            Fraction(k, d) for k, d in zip(g.torsion, ambient.invariant_factors)
+        values = [SurdSum.from_point(p) for p in g.free] + [
+            SurdSum(Fraction(k, d)) for k, d in zip(g.torsion, ambient.invariant_factors)
         ]
-        den = lcm(*(p.denominator for p in parts)) if parts else 1
-        cong_rows.append(([int(p * den) for p in parts], den))
-    nslack = len(cong_rows)
-    full_rows = []
-    for row in eq_rows:
-        full_rows.append(row + [0] * nslack)
-    for slot, (row, modulus) in enumerate(cong_rows):
-        slack = [0] * nslack
-        slack[slot] = modulus
-        full_rows.append(row + slack)
-    if not full_rows:
-        return Sublattice.from_generators(
-            ambient, [tuple(int(i == j) for j in range(n)) for i in range(n)]
-        )
-    system = IntMatrix.from_rows(full_rows, n + nslack)
+        *eqs, cong = _mod_one_rows(values, SurdSum())
+        equations += eqs
+        congruences.append(cong)
+    system, _ = _stack(equations + congruences, n)
     kernel = kernel_basis(system)
     projected = [vec[:n] for vec in kernel]
     return Sublattice.from_generators(ambient, projected)

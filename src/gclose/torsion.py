@@ -41,6 +41,7 @@ from .circle import (
     pair,
 )
 from .duality import PrecompactTopology, von_neumann_radical
+from .lattice import approximation_candidates
 
 __all__ = [
     "TorsionError",
@@ -925,16 +926,10 @@ def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict
     if isinstance(root, (Geometric, Factorial)):
         y = pair(root.pattern, x)
         if y.is_rational():
-            f = y.rat
-            q = f.denominator
-            if isinstance(root, Factorial):
-                return _factorial_in(f.numerator % q, q, A, B)
-            start = f.numerator * pow(root.base, B, q) % q
-            machine = _GeoMachine(start, pow(root.base, A, q), q)
-            run = _run_cycle(machine)
-            if run is not None:
-                residues, first, period = run
-                return _verdict_from_cycle(residues, first, period, q)
+            # u_n = s_(A*n+B) * pattern for a scalar sequence s: <u_n, x> = s_(A*n+B) * y
+            scalar = Geometric(root.base) if isinstance(root, Geometric) else Factorial()
+            point = CirclePoint.rational(y.rat.numerator, y.rat.denominator)
+            return _decide_rational(Subsequence(scalar, A, B), (point,), policy)
     return _scan(u, x, policy)
 
 
@@ -1104,8 +1099,6 @@ def null_sequence(
         seq = Subsequence(CFDenominators(chars[0][0]), 2, 0)
         strategy = "cf-denominators"
     else:
-        from .lattice import approximation_candidates
-
         used = 0
         terms: list[tuple[int, ...]] = []
         for n in range(count):

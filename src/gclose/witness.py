@@ -23,6 +23,7 @@ from math import lcm
 
 from .circle import CirclePoint, int_mul, pair
 from .duality import PrecompactTopology, von_neumann_radical
+from .lattice import approximation_candidates
 from .torsion import (
     Budget,
     CFDenominators,
@@ -236,8 +237,6 @@ def _stage_cf_subsequence(topology, chi, delta, count, counter) -> Witness | Non
 
 
 def _stage_lattice(topology, chi, delta, count, counter) -> Witness | Exhausted:
-    from .lattice import approximation_candidates
-
     chars = topology.characters
     terms: list[tuple[int, ...]] = []
     escape_failed: set[tuple[int, ...]] = set()

@@ -177,6 +177,21 @@ def test_parse_seq_errors():
             parse_seq(bad)
 
 
+@pytest.mark.parametrize(
+    "seq,position",
+    [("geom:x", 5), ("sub(2,0):geom:x", 14), ("geom:x*(1,2)", 5), ("sub(3,1):geom:y*(1)", 14)],
+)
+def test_bad_geometric_base_is_reported_where_it_sits(seq, position, capsys):
+    bad = seq.split("geom:")[1].split("*")[0]
+    with pytest.raises(ParseError, match=f"bad geometric base '{bad}'") as e:
+        parse_seq(seq)
+    assert e.value.position == position
+    assert main(["tmem", "--seq", seq, "--point", "1/3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"gclose: error: at position {position}: bad geometric base '{bad}'\n"
+
+
 def _nested_sub(levels):
     return "sub(1,0):" * levels + "geom:2"
 
