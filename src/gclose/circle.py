@@ -207,7 +207,7 @@ class CirclePoint:
 
     def norm_cmp(self, fr: Fraction) -> int:
         """Sign of (||x|| - fr) where ||x|| = min(x, 1-x).  Exact."""
-        return SurdSum.from_point(self).norm_cmp(fr)
+        return SurdSum.from_point(self)._unit_norm_cmp(fr)
 
     def enclosure(self, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
         """Enclosure of the representative in [0, 1), width <= tol if inexact."""
@@ -252,7 +252,7 @@ def norm(x: CirclePoint, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
     Exact for rational points.  For quadratic points the result is an
     interval of width <= tol, refinable by calling again with a smaller tol.
     """
-    return SurdSum.from_point(x).norm_enclosure(tol)
+    return SurdSum.from_point(x)._unit_norm_enclosure(tol)
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ class SurdSum:
             tol /= 2**16
 
     def cmp(self, fr: Fraction) -> int:
-        return self.shift(-Fraction(fr)).sign()
+        return self.shift(-fr).sign()
 
     def floor(self) -> int:
         if not self.terms:
@@ -347,18 +347,27 @@ class SurdSum:
 
     def norm_cmp(self, fr: Fraction) -> int:
         """Sign of (||value mod 1|| - fr).  Exact."""
-        y = self.mod1()
-        if y.cmp(_HALF) <= 0:
-            return y.cmp(fr)
-        return -y.cmp(1 - Fraction(fr))
+        return self.mod1()._unit_norm_cmp(fr)
 
     def norm_enclosure(self, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
         if not self.terms:
             r = self.rat % 1
             return Enclosure.point(min(r, 1 - r))
-        y = self.mod1()
-        e = y.enclosure(tol)
-        if y.cmp(_HALF) < 0:
+        return self.mod1()._unit_norm_enclosure(tol)
+
+    # The _unit_ forms take a value already in [0, 1), such as a CirclePoint,
+    # and skip the floor that mod1() finds by refining enclosures.
+
+    def _unit_norm_cmp(self, fr: Fraction) -> int:
+        if self.cmp(_HALF) <= 0:
+            return self.cmp(fr)
+        return -self.cmp(1 - Fraction(fr))
+
+    def _unit_norm_enclosure(self, tol: Fraction) -> Enclosure:
+        if not self.terms:
+            return Enclosure.point(min(self.rat, 1 - self.rat))
+        e = self.enclosure(tol)
+        if self.cmp(_HALF) < 0:
             return Enclosure.interval(max(Fraction(0), e.lower), min(e.upper, _HALF))
         return Enclosure.interval(max(Fraction(0), 1 - e.upper), min(1 - e.lower, _HALF))
 

@@ -589,8 +589,15 @@ def _build_machine(u: IntVecSeq, w: tuple[int, ...], q: int):
         return _CFMachine(_expansion(u.alpha), w[0], q)
     if isinstance(u, Subsequence):
         inner = _build_machine(u.parent, w, q)
-        if inner is None:
-            return None
+        if inner is None or isinstance(inner, _ConstMachine):
+            return inner
+        if isinstance(inner, _GeoMachine):
+            # jump, not step: s_(A*n+B) = s_0 * b^B * (b^A)^n mod q
+            return _GeoMachine(
+                inner.s * pow(inner.step, u.offset, q),
+                pow(inner.step, u.stride, q),
+                q,
+            )
         return _StrideMachine(inner, u.stride, u.offset)
     if isinstance(u, Interleave):
         inner = [_build_machine(c, w, q) for c in u.children]

@@ -6,6 +6,7 @@ on r -> base*r mod q, factorial membership by q | n!, continued-fraction
 residues by the convergent recurrence mod q.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,31 @@ def test_subsequence_tier2():
     u = Subsequence(CFDenominators(GOLDEN), 2, 0)
     v = t_membership(u, GOLDEN)
     assert v.status == "exact" and v.member is True
+
+
+def test_large_stride_and_offset_are_jumped_not_stepped():
+    # sub(A,B) of geom:b reads b^(A*n+B) mod q with pow, so A and B cost
+    # O(log) on the rational route and on the pattern-cancelling one
+    pattern_point = (
+        CirclePoint.quadratic(1, 1, 3, 2),
+        CirclePoint.quadratic(0, 1, 3, 2),
+    )  # pairs with (1, -1) to 1/3
+    cases = [
+        (3, 10**6, 0, 1, 1009, Geometric(3), (CirclePoint.rational(1, 1009),)),
+        (2, 1, 10**12, 1, 1009, Geometric(2), (CirclePoint.rational(1, 1009),)),
+        (2, 10**12, 10**12, 1, 12, Geometric(2), (CirclePoint.rational(1, 12),)),
+        (2, 1, 10**12, 1, 3, Geometric(2, (1, -1)), pattern_point),
+        (2, 10**6, 7, 1, 3, Geometric(2, (1, -1)), pattern_point),
+        (6, 10**12, 10**12, 1, 3, Geometric(6, (1, -1)), pattern_point),
+    ]
+    started = time.perf_counter()
+    for base, stride, offset, a, q, root, x in cases:
+        v = s_membership(Subsequence(root, stride, offset), x)
+        expected = geometric_in(pow(base, stride, q), pow(base, offset, q) * a, q)
+        assert v.status == "exact" and v.member is expected, (base, stride, offset, q)
+    v = t_membership(Subsequence(Constant((1,)), 1, 10**12), CirclePoint.rational(1, 3))
+    assert v.status == "exact" and v.member is False
+    assert time.perf_counter() - started < 1
 
 
 def test_smem_vector():
