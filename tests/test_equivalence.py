@@ -17,8 +17,17 @@ diff line by line.
 * ``pattern_verdicts.txt``: ``s_membership`` verdicts for irrational points
   whose pairing with the pattern of a geometric or factorial sequence is
   rational, plain and strided.
+* ``surd_numerics.txt``: ``floor``, ``sign``, ``cmp``, ``norm_cmp``,
+  ``enclosure`` and ``norm_enclosure`` of seeded ``SurdSum`` values over no,
+  one, two and three surd bases, built with ``pair`` from multipliers 2^n to
+  5^n and n! (n <= 512) and convergent denominators q_n (n <= 200), so many
+  lie within 2^-n of an integer; at tolerances 2^-1 to 2^-80 and the scan
+  tolerance 2^-22.  Renderings longer than 96 characters are recorded as
+  their length and SHA-256 prefix.
 """
 
+import hashlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -27,7 +36,16 @@ from pathlib import Path
 import pytest
 
 from gclose import duality
-from gclose.circle import CircleError, CirclePoint, add, int_mul, norm
+from gclose.circle import (
+    CircleError,
+    CirclePoint,
+    add,
+    cf_expand,
+    convergent_denominators,
+    int_mul,
+    norm,
+    pair,
+)
 from gclose.duality import (
     Character,
     DualSubgroup,
@@ -227,6 +245,99 @@ def render_pattern_verdicts() -> str:
     return "\n".join(lines) + "\n"
 
 
+SURD_SUM_BASES = (2, 3, 5, 6, 7, 13)
+
+
+def _fit(text: str) -> str:
+    if len(text) <= 96:
+        return text
+    return f"<{len(text)} chars sha256:{hashlib.sha256(text.encode()).hexdigest()[:16]}>"
+
+
+def _multiplier(rng: random.Random, point: CirclePoint) -> tuple[str, int]:
+    """A large integer multiplier for point: b^n, n!, or for an irrational
+    point one of its convergent denominators, which puts q_n * point within
+    1/q_(n+1) of Z."""
+    kind = rng.choice(("pow", "fact") + (("qn",) * 4 if not point.is_rational else ()))
+    if kind == "pow":
+        b, n = rng.randint(2, 5), rng.randint(0, 512)
+        return f"{b}^{n}", b**n
+    if kind == "fact":
+        n = rng.randint(0, 512)
+        return f"{n}!", math.factorial(n)
+    n = rng.randint(0, 200)
+    return f"q_{n}", convergent_denominators(cf_expand(point), n + 1)[-1]
+
+
+def _surd_case(rng: random.Random):
+    """(label, value): <term, points> over 0-3 distinct surd bases."""
+    nbases = rng.randint(0, 3)
+    bases = rng.sample(SURD_SUM_BASES, nbases)
+    points = [
+        CirclePoint.quadratic(
+            rng.randint(-9, 9), rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 12), d
+        )
+        for d in bases
+    ]
+    points += [
+        CirclePoint.rational(rng.randint(-20, 20), rng.randint(1, 30))
+        for _ in range(rng.randint(0 if points else 1, 2))
+    ]
+    rng.shuffle(points)
+    labels, term = [], []
+    for point in points:
+        if not point.is_rational or rng.random() < 0.5:
+            label, m = _multiplier(rng, point)
+            if rng.random() < 0.3:
+                label, m = f"-{label}", -m
+        else:
+            m = rng.randint(-20, 20)
+            label = str(m)
+        labels.append(label)
+        term.append(m)
+    value = pair(tuple(term), tuple(points))
+    return f"<({','.join(labels)}), ({','.join(map(str, points))})>", value
+
+
+def render_surd_numerics() -> str:
+    rng = random.Random(20261021)
+    lines = []
+    for _ in range(200):
+        label, s = _surd_case(rng)
+        f = s.floor()
+        lines.append(f"{label} bases {len(s.terms)}")
+        lines.append(f"  floor {_fit(str(f))} sign {s.sign()}")
+        for k in sorted({rng.randint(1, 80), rng.randint(1, 80), 22}):
+            tol = Fraction(1, 2**k)
+            enc, nenc = s.enclosure(tol), s.norm_enclosure(tol)
+            lines.append(
+                f"  2^-{k} enclosure {_fit(_interval(enc))} norm {_fit(_interval(nenc))}"
+            )
+            eighths = rng.randint(0, 8)
+            probes = {
+                "lo": enc.lower,
+                "hi": enc.upper,
+                "floor": Fraction(f),
+                "floor+1": Fraction(f + 1),
+                f"floor+{eighths}/8": f + Fraction(eighths, 8),
+                "floor+tol": f + tol,
+            }
+            lines.append("    cmp " + " ".join(f"{k}:{s.cmp(p)}" for k, p in probes.items()))
+            probe = Fraction(rng.randint(1, 16), 32)
+            probes = {
+                "lo": nenc.lower,
+                "hi": nenc.upper,
+                "tol": tol,
+                "0": Fraction(0),
+                "1/2": Fraction(1, 2),
+                str(probe): probe,
+            }
+            lines.append(
+                "    norm_cmp " + " ".join(f"{k}:{s.norm_cmp(p)}" for k, p in probes.items())
+            )
+    return "\n".join(lines) + "\n"
+
+
 def _recorded(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
@@ -243,6 +354,10 @@ def test_pattern_verdicts_match_recording():
     assert render_pattern_verdicts() == _recorded("pattern_verdicts.txt")
 
 
+def test_surd_numerics_match_recording():
+    assert render_surd_numerics() == _recorded("surd_numerics.txt")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py record")
@@ -250,3 +365,4 @@ if __name__ == "__main__":
         (GOLDEN_DIR / "duality_systems.txt").write_text(render_duality_systems(mp), encoding="utf-8")
     (GOLDEN_DIR / "circle_numerics.txt").write_text(render_circle_numerics(), encoding="utf-8")
     (GOLDEN_DIR / "pattern_verdicts.txt").write_text(render_pattern_verdicts(), encoding="utf-8")
+    (GOLDEN_DIR / "surd_numerics.txt").write_text(render_surd_numerics(), encoding="utf-8")
