@@ -1,10 +1,14 @@
 """Exact arithmetic on the circle group R/Z.
 
 Points are rationals p/q or real quadratic irrationals (a + b*sqrt(d))/c,
-kept in a unique normal form with value in [0, 1).  Every ordering decision
-reduces to an integer sign test, so the arithmetic never consults floating
-point; interval enclosures with rational endpoints are produced only where
-a caller asks for a numeric bound.
+kept in a unique normal form with value in [0, 1).  Pairings of integer
+vectors with points are ``SurdSum`` values: integer numerators, one for the
+rational part and one per squarefree surd base, over one common
+denominator.  Every floor and ordering decision reduces to integer
+arithmetic -- one integer square root for a single surd base -- so the
+arithmetic never consults floating point.  ``Fraction`` appears only at the
+boundary: ``Enclosure`` endpoints, produced only where a caller asks for a
+numeric bound, ``CirclePoint.as_fraction`` and ``SurdSum.rat``.
 
 Continued-fraction expansions are computed exactly as well: finite Euclidean
 expansions for rationals (last partial quotient >= 2) and eventually periodic
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 __all__ = [
     "CircleError",
@@ -32,12 +36,9 @@ __all__ = [
     "norm",
     "cf_expand",
     "convergents",
-    "sqrt_enclosure",
 ]
 
 DEFAULT_TOLERANCE = Fraction(1, 2**64)
-
-_HALF = Fraction(1, 2)
 
 
 class CircleError(ValueError):
@@ -86,23 +87,6 @@ def _sign_surd(a: int, b: int, d: int) -> int:
     if a > 0:
         return 1 if a * a > b * b * d else -1
     return 1 if b * b * d > a * a else -1
-
-
-def sqrt_enclosure(d: int, tol: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bounds lo < sqrt(d) < hi with hi - lo <= tol.
-
-    Computed in one integer square root at dyadic precision 2^-k: both
-    bounds are strict because d * 4^k is never a perfect square.
-    """
-    if d <= 0 or isqrt(d) ** 2 == d:
-        raise CircleError(f"sqrt enclosure requires positive non-square d, got {d}")
-    tol = Fraction(tol)
-    if tol <= 0:
-        raise CircleError("tolerance must be positive")
-    k = max(1, (tol.denominator // tol.numerator).bit_length() + 1)
-    root = isqrt(d << (2 * k))
-    lo = Fraction(root, 1 << k)
-    return lo, lo + Fraction(1, 1 << k)
 
 
 @dataclass(frozen=True)
@@ -255,95 +239,138 @@ def norm(x: CirclePoint, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
     return SurdSum.from_point(x)._unit_norm_enclosure(tol)
 
 
-@dataclass(frozen=True)
-class SurdSum:
-    """Exact real number rat + sum of coeff_d * sqrt(d), distinct squarefree d >= 2.
+def _surd_terms(parts: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """SurdSum.terms from numerators keyed by base: the nonzero ones, by base."""
+    return tuple(sorted((d, b) for d, b in parts.items() if b))
 
+
+@dataclass(frozen=True, slots=True)
+class SurdSum:
+    """Exact real number (num + sum of b_d * sqrt(d)) / den over distinct
+    squarefree bases d >= 2, in integers only.
+
+    ``num`` is the rational numerator; ``terms`` holds one nonzero numerator
+    b_d per surd base, sorted by d, so ``len(terms)`` is the number of bases;
+    ``den`` > 0 is their common denominator, not necessarily in lowest terms.
     Closed under the additive operations needed to evaluate characters with
-    mixed surd bases.  Nonzero sums are never equal to a rational, because
-    the square roots of distinct squarefree integers are linearly independent
-    over Q; sign tests therefore terminate.
+    mixed surd bases.  Nonzero surd parts never sum to a rational, because
+    the square roots of distinct squarefree integers are linearly
+    independent over Q; sign and floor therefore terminate.
+
+    A one-base sum takes its floor in one integer square root,
+    floor((a + b*sqrt(d))/c) = (a + floor(b*sqrt(d))) // c, and its sign from
+    ``_sign_surd``.  Several bases refine integer brackets of
+    value * den * 2^k, doubling k, until they decide.  ``Fraction`` appears
+    only where a value leaves the class: ``rat`` and the ``Enclosure``
+    endpoints.
     """
 
-    rat: Fraction = Fraction(0)
-    terms: tuple[tuple[int, Fraction], ...] = ()
-
-    @classmethod
-    def build(cls, rat: Fraction, parts: dict[int, Fraction]) -> "SurdSum":
-        terms = tuple(sorted((d, c) for d, c in parts.items() if c != 0))
-        return cls(Fraction(rat), terms)
+    num: int = 0
+    terms: tuple[tuple[int, int], ...] = ()
+    den: int = 1
 
     @classmethod
     def from_point(cls, x: CirclePoint, mult: int = 1) -> "SurdSum":
-        rat = Fraction(mult * x.num, x.den)
         if x.is_rational or not mult:
-            return cls(rat)
-        return cls(rat, ((x.surd, Fraction(mult * x.surd_coeff, x.den)),))
+            return cls(mult * x.num, (), x.den)
+        return cls(mult * x.num, ((x.surd, mult * x.surd_coeff),), x.den)
+
+    @property
+    def rat(self) -> Fraction:
+        """The rational part as a Fraction."""
+        return Fraction(self.num, self.den)
 
     def __add__(self, other):
         if not isinstance(other, SurdSum):
             return NotImplemented
-        parts = dict(self.terms)
-        for d, c in other.terms:
-            parts[d] = parts.get(d, Fraction(0)) + c
-        return SurdSum.build(self.rat + other.rat, parts)
+        g = gcd(self.den, other.den)
+        up, down = other.den // g, self.den // g
+        parts = {d: b * up for d, b in self.terms}
+        for d, b in other.terms:
+            parts[d] = parts.get(d, 0) + b * down
+        return SurdSum(self.num * up + other.num * down, _surd_terms(parts), self.den * up)
 
-    def shift(self, fr: Fraction) -> "SurdSum":
-        return SurdSum(self.rat + Fraction(fr), self.terms)
+    def _plus(self, p: int, q: int) -> "SurdSum":
+        """value + p/q for q > 0."""
+        if q == 1:
+            return SurdSum(self.num + p * self.den, self.terms, self.den)
+        g = gcd(self.den, q)
+        up = q // g
+        terms = tuple((d, b * up) for d, b in self.terms)
+        return SurdSum(self.num * up + p * (self.den // g), terms, self.den * up)
 
     def is_rational(self) -> bool:
         return not self.terms
 
+    def is_integer(self) -> bool:
+        return not self.terms and self.num % self.den == 0
+
+    def _bounds(self, tol) -> tuple[int, int, int]:
+        """(lo, hi, scale) with lo/scale < value < hi/scale for an irrational
+        sum, hi - lo <= tol * scale.  Each term b*sqrt(d)/den is bracketed
+        to within tol/len(terms) by one integer square root at dyadic
+        precision 2^-k, k = max(1, bit_length(q) + 1) for
+        q = floor(len(terms)*|b| / (den*tol)); scale is den * 2^(largest k)."""
+        tn, td = tol.numerator, tol.denominator
+        if tn <= 0:
+            raise CircleError("tolerance must be positive")
+        span = td * len(self.terms)
+        per_term = []
+        for d, b in self.terms:
+            k = max(1, (span * abs(b) // (tn * self.den)).bit_length() + 1)
+            root = isqrt(d << (2 * k))
+            per_term.append((k, b * root, b * (root + 1)))
+        top = max(k for k, _, _ in per_term)
+        lo = hi = self.num << top
+        for k, low, high in per_term:
+            if low > high:
+                low, high = high, low
+            lo += low << (top - k)
+            hi += high << (top - k)
+        return lo, hi, self.den << top
+
     def enclosure(self, tol: Fraction) -> Enclosure:
         if not self.terms:
             return Enclosure.point(self.rat)
-        share = Fraction(tol) / len(self.terms)
-        lo = hi = self.rat
-        for d, c in self.terms:
-            slo, shi = sqrt_enclosure(d, share / abs(c))
-            if c > 0:
-                lo, hi = lo + c * slo, hi + c * shi
-            else:
-                lo, hi = lo + c * shi, hi + c * slo
-        return Enclosure.interval(lo, hi)
+        lo, hi, scale = self._bounds(tol)
+        return Enclosure(Fraction(lo, scale), Fraction(hi, scale), False)
+
+    def _brackets(self):
+        """Integer brackets lo < value * scale < hi of an irrational sum,
+        scale = den * 2^k at k = 32, 64, 128, ...; hi - lo = len(terms)."""
+        k = 32
+        while True:
+            lo = (self.num << k) + sum(_floor_mul_sqrt(b << k, d) for d, b in self.terms)
+            yield lo, lo + len(self.terms), self.den << k
+            k *= 2
 
     def sign(self) -> int:
         if not self.terms:
-            return _sign(self.rat.numerator)
+            return _sign(self.num)
         if len(self.terms) == 1:
-            d, c = self.terms[0]
-            den = self.rat.denominator * c.denominator
-            a = self.rat.numerator * c.denominator
-            b = c.numerator * self.rat.denominator
-            return _sign_surd(a, b, d)
-        # several surd bases: refine an interval until it excludes zero;
-        # terminates because a nonzero sum is never exactly zero
-        tol = Fraction(1, 2**16)
-        while True:
-            e = self.enclosure(tol)
-            if e.lower > 0:
+            ((d, b),) = self.terms
+            return _sign_surd(self.num, b, d)
+        for lo, hi, _ in self._brackets():
+            if lo >= 0:
                 return 1
-            if e.upper < 0:
+            if hi <= 0:
                 return -1
-            tol /= 2**16
 
     def cmp(self, fr: Fraction) -> int:
-        return self.shift(-fr).sign()
+        return self._plus(-fr.numerator, fr.denominator).sign()
 
     def floor(self) -> int:
         if not self.terms:
-            return self.rat.numerator // self.rat.denominator
-        tol = Fraction(1, 2**16)
-        while True:
-            e = self.enclosure(tol)
-            flo = e.lower.numerator // e.lower.denominator
-            fhi = e.upper.numerator // e.upper.denominator
-            if flo == fhi:
-                return flo
-            tol /= 2**16
+            return self.num // self.den
+        if len(self.terms) == 1:
+            ((d, b),) = self.terms
+            return (self.num + _floor_mul_sqrt(b, d)) // self.den
+        for lo, hi, scale in self._brackets():
+            if lo // scale == (hi - 1) // scale:
+                return lo // scale
 
     def mod1(self) -> "SurdSum":
-        return self.shift(-self.floor())
+        return self._plus(-self.floor(), 1)
 
     def norm_cmp(self, fr: Fraction) -> int:
         """Sign of (||value mod 1|| - fr).  Exact."""
@@ -351,35 +378,42 @@ class SurdSum:
 
     def norm_enclosure(self, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
         if not self.terms:
-            r = self.rat % 1
-            return Enclosure.point(min(r, 1 - r))
+            r = self.num % self.den
+            return Enclosure.point(Fraction(min(r, self.den - r), self.den))
         return self.mod1()._unit_norm_enclosure(tol)
 
     # The _unit_ forms take a value already in [0, 1), such as a CirclePoint,
-    # and skip the floor that mod1() finds by refining enclosures.
+    # and skip the floor that mod1() takes.
 
     def _unit_norm_cmp(self, fr: Fraction) -> int:
-        if self.cmp(_HALF) <= 0:
-            return self.cmp(fr)
-        return -self.cmp(1 - Fraction(fr))
+        p, q = fr.numerator, fr.denominator
+        if self._plus(-1, 2).sign() <= 0:
+            return self._plus(-p, q).sign()
+        return -self._plus(p - q, q).sign()
 
     def _unit_norm_enclosure(self, tol: Fraction) -> Enclosure:
         if not self.terms:
-            return Enclosure.point(min(self.rat, 1 - self.rat))
-        e = self.enclosure(tol)
-        if self.cmp(_HALF) < 0:
-            return Enclosure.interval(max(Fraction(0), e.lower), min(e.upper, _HALF))
-        return Enclosure.interval(max(Fraction(0), 1 - e.upper), min(1 - e.lower, _HALF))
+            return Enclosure.point(Fraction(min(self.num, self.den - self.num), self.den))
+        lo, hi, scale = self._bounds(tol)
+        if self._plus(-1, 2).sign() > 0:
+            lo, hi = scale - hi, scale - lo
+        half = scale >> 1  # exact: _bounds works at dyadic precision k >= 1
+        return Enclosure(Fraction(max(0, lo), scale), Fraction(min(hi, half), scale), False)
 
 
 def pair(term: tuple[int, ...], points: tuple[CirclePoint, ...]) -> SurdSum:
     """<term, points> = sum of term_i * points_i as an exact real, to be read
-    mod 1: the one pairing of integer vectors with characters and points."""
-    total = SurdSum()
-    for coeff, point in zip(term, points):
-        if coeff:
-            total = total + SurdSum.from_point(point, coeff)
-    return total
+    mod 1: the one pairing of integer vectors with characters and points.
+    Numerators are summed over the lcm of the points' denominators."""
+    used = [(c, p) for c, p in zip(term, points) if c]
+    den = lcm(*(p.den for _, p in used))
+    num, parts = 0, {}
+    for c, p in used:
+        scale = c * (den // p.den)
+        num += scale * p.num
+        if p.surd_coeff:
+            parts[p.surd] = parts.get(p.surd, 0) + scale * p.surd_coeff
+    return SurdSum(num, _surd_terms(parts), den)
 
 
 @dataclass(frozen=True)

@@ -1131,7 +1131,14 @@ def main(argv: list[str] | None = None) -> int:
             with open(command.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         else:
-            print(text)
+            try:
+                print(text, flush=True)
+            except BrokenPipeError:
+                # the reader closed the pipe (``| head``); send what is left
+                # to devnull so the flush at exit does not raise again
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         return code
     except ValueError as exc:
         print(f"gclose: error: {exc}", file=sys.stderr)

@@ -13,8 +13,7 @@ for canonical sublattice bases and membership tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .circle import CirclePoint, SurdSum, pair
 
@@ -414,12 +413,11 @@ class Character:
             self.torsion, ambient.invariant_factors, vec[ambient.free_rank :]
         ):
             if k and coord:
-                total = total.shift(Fraction(int(coord) * k, d))
+                total = total + SurdSum(int(coord) * k, (), d)
         return total
 
     def vanishes_on(self, ambient: FgAbelianGroup, vec: tuple[int, ...]) -> bool:
-        val = self.value(ambient, vec)
-        return val.is_rational() and val.rat.denominator == 1
+        return self.value(ambient, vec).is_integer()
 
     def is_trivial(self) -> bool:
         return all(p.is_zero() for p in self.free) and not any(self.torsion)
@@ -479,11 +477,13 @@ class Sublattice:
         return "span{" + "; ".join(",".join(str(x) for x in g) for g in gens) + "}"
 
 
-def _scaled(coeffs: list[Fraction | int]) -> tuple[list[int], int, int]:
-    """coeffs times their common denominator: (row, rhs, denominator), the
-    last coefficient being the right-hand side."""
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
+def _scaled(coeffs: list[tuple[int, int]]) -> tuple[list[int], int, int]:
+    """Fractions n/d, given as pairs, times the lcm of their denominators in
+    lowest terms: (row, rhs, denominator), the last one being the
+    right-hand side."""
+    lowest = [(n // g, d // g) for n, d in coeffs for g in (gcd(n, d),)]
+    den = lcm(*(d for _, d in lowest))
+    ints = [n * (den // d) for n, d in lowest]
     return ints[:-1], ints[-1], den
 
 
@@ -494,12 +494,13 @@ def _mod_one_rows(
     (row, rhs, modulus): one exact equation (modulus 0) per surd base, since
     square roots of distinct squarefree bases are independent over Q, then
     one congruence modulo the common denominator of the rational parts."""
-    surds = [dict(v.terms) for v in values] + [dict(target.terms)]
+    sums = values + [target]
+    surds = [dict(v.terms) for v in sums]
     rows = []
     for d in sorted(set().union(*surds)):
-        row, rhs, _ = _scaled([s.get(d, 0) for s in surds])
+        row, rhs, _ = _scaled([(s.get(d, 0), v.den) for s, v in zip(surds, sums)])
         rows.append((row, rhs, 0))
-    return rows + [_scaled([v.rat for v in values] + [target.rat])]
+    return rows + [_scaled([(v.num, v.den) for v in sums])]
 
 
 def _stack(
@@ -605,7 +606,7 @@ def annihilator(subgroup: DualSubgroup) -> Sublattice:
     equations, congruences = [], []
     for g in subgroup.generators:
         values = [SurdSum.from_point(p) for p in g.free] + [
-            SurdSum(Fraction(k, d)) for k, d in zip(g.torsion, ambient.invariant_factors)
+            SurdSum(k, (), d) for k, d in zip(g.torsion, ambient.invariant_factors)
         ]
         *eqs, cong = _mod_one_rows(values, SurdSum())
         equations += eqs

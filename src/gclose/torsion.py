@@ -697,7 +697,7 @@ def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Ve
             sequence_horizon=0,
         )
     values = [pair(u.term(n), x) for n in range(h)]
-    integral = [v.is_rational() and v.rat.denominator == 1 for v in values]
+    integral = [v.is_integer() for v in values]
     t = h
     while t > 0 and integral[t - 1]:
         t -= 1
@@ -817,13 +817,12 @@ def _decide_cf_quadratic(alpha: CirclePoint, A: int, B: int, x: CirclePoint) -> 
 
 
 def _decide_constant_value(value: SurdSum) -> Verdict:
-    if value.is_rational() and value.rat.denominator == 1:
+    if value.is_integer():
         return Verdict.exact_in(
             "constant pairing = 0 (mod 1) at every index", from_index=0
         )
     if value.is_rational():
-        r = value.mod1().rat
-        norm = min(r, 1 - r)
+        norm = value.norm_enclosure().lower
         return Verdict.exact_out(
             f"constant pairing norm = {norm} at every index",
             escape_index=0,
@@ -935,7 +934,7 @@ def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict
         if y.is_rational():
             # u_n = s_(A*n+B) * pattern for a scalar sequence s: <u_n, x> = s_(A*n+B) * y
             scalar = Geometric(root.base) if isinstance(root, Geometric) else Factorial()
-            point = CirclePoint.rational(y.rat.numerator, y.rat.denominator)
+            point = CirclePoint.rational(y.num, y.den)
             return _decide_rational(Subsequence(scalar, A, B), (point,), policy)
     return _scan(u, x, policy)
 

@@ -64,6 +64,26 @@ def surd_interval(a: int, b: int, c: int, d: int, bits: int = 100):
     return (a + b * lo) / c, (a + b * hi) / c
 
 
+def floor_oracle(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d))/c) for c > 0: an isqrt estimate corrected by
+    exact comparisons of squares."""
+    import math
+
+    def at_least(m: int) -> bool:  # b*sqrt(d) >= m*c - a
+        t = m * c - a
+        if b >= 0:
+            return t <= 0 or b * b * d >= t * t
+        return t < 0 and b * b * d <= t * t
+
+    root = math.isqrt(b * b * d)
+    m = (a + (root if b >= 0 else -root)) // c
+    while not at_least(m):
+        m -= 1
+    while at_least(m + 1):
+        m += 1
+    return m
+
+
 # rational normal form -----------------------------------------------------
 
 
@@ -324,6 +344,30 @@ def test_surdsum_mixed_field_arithmetic():
 def test_surdsum_cancellation_to_rational():
     s = SurdSum.from_point(GOLDEN) + SurdSum.from_point(GOLDEN, -1)
     assert s.is_rational() and s.rat == 0
+
+
+def test_one_base_floor_is_one_isqrt(monkeypatch):
+    """floor and norm_cmp of a one-base sum never refine an enclosure, even
+    within 1/q_(n+1) of an integer or with 512! in the numerators."""
+    import math
+
+    qs = convergent_denominators(cf_expand(GOLDEN), 303)
+    sums = [SurdSum.from_point(GOLDEN, sign * q) for q in qs[:301] for sign in (1, -1)]
+    sums.append(SurdSum.from_point(CirclePoint.quadratic(1, 1, 3, 2), math.factorial(512)))
+
+    def refuse(self, tol):
+        raise AssertionError("enclosure refined for a one-base sum")
+
+    monkeypatch.setattr(SurdSum, "enclosure", refuse)
+    for s in sums:
+        ((d, b),) = s.terms
+        assert s.floor() == floor_oracle(s.num, b, s.den, d)
+    for n in range(301):
+        s = SurdSum.from_point(GOLDEN, qs[n])
+        # 1/(q_n + q_(n+1)) < ||q_n * golden|| < 1/q_(n+1), for n >= 1
+        assert s.norm_cmp(Fraction(1, qs[n + 1])) < 0
+        if n:
+            assert s.norm_cmp(Fraction(1, qs[n] + qs[n + 1])) > 0
 
 
 def test_surdsum_norm_cmp():

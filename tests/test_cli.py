@@ -4,8 +4,12 @@ must either parse or raise a structured ParseError, never anything else.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -538,3 +542,26 @@ def test_successive_main_calls_share_no_state(capsys):
         assert capsys.readouterr().err.startswith("gclose: error: ")
         assert main(["tmem", "--seq", "geom:2", "--point", "5/8"]) == 0
         assert capsys.readouterr().out.startswith("gclose tmem")
+
+
+def test_closed_pipe_ends_quietly_with_the_report_code():
+    """A reader that leaves early (``| head -c 50``) gets no traceback and
+    no 'Exception ignored' line; the exit code is the report's own."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    argv = [sys.executable, "-m", "gclose.cli", "profile", "--seq", "geom:2"]
+    argv += ["--max-den", "2000", "--format", "json"]  # about 900 KB of output
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    try:
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+    assert err == b""
+    assert code == 0
