@@ -322,7 +322,7 @@ def render_surd_numerics() -> str:
                 f"floor+{eighths}/8": f + Fraction(eighths, 8),
                 "floor+tol": f + tol,
             }
-            lines.append("    cmp " + " ".join(f"{k}:{s.cmp(p)}" for k, p in probes.items()))
+            lines.append("    cmp " + " ".join(f"{name}:{s.cmp(p)}" for name, p in probes.items()))
             probe = Fraction(rng.randint(1, 16), 32)
             probes = {
                 "lo": nenc.lower,
@@ -333,7 +333,8 @@ def render_surd_numerics() -> str:
                 str(probe): probe,
             }
             lines.append(
-                "    norm_cmp " + " ".join(f"{k}:{s.norm_cmp(p)}" for k, p in probes.items())
+                "    norm_cmp "
+                + " ".join(f"{name}:{s.norm_cmp(p)}" for name, p in probes.items())
             )
     return "\n".join(lines) + "\n"
 
