@@ -111,10 +111,6 @@ class Enclosure:
         value = Fraction(value)
         return cls(value, value, True)
 
-    @classmethod
-    def interval(cls, lower: Fraction, upper: Fraction) -> "Enclosure":
-        return cls(Fraction(lower), Fraction(upper), False)
-
     @property
     def width(self) -> Fraction:
         return self.upper - self.lower
