@@ -24,6 +24,12 @@ diff line by line.
   lie within 2^-n of an integer; at tolerances 2^-1 to 2^-80 and the scan
   tolerance 2^-22.  Renderings longer than 96 characters are recorded as
   their length and SHA-256 prefix.
+* ``geometric_cycles.txt``: ``t_membership`` and ``s_membership`` verdicts
+  (status, reason, horizon, worst bound and facts) on rational residue
+  orbits: ``geom`` plain and strided, vector patterns, pattern-cancelling
+  irrational points, constants and strided interleaves.  Moduli are 2^k*m,
+  6^k*m, base^k*m or m, so many share primes with the base and many orbits
+  end in an all-zero cycle; two orbits pass the state cap.
 """
 
 import hashlib
@@ -53,7 +59,15 @@ from gclose.duality import (
     annihilator,
     closure_in_dual,
 )
-from gclose.torsion import Factorial, Geometric, Subsequence, s_membership
+from gclose.torsion import (
+    Constant,
+    Factorial,
+    Geometric,
+    Interleave,
+    Subsequence,
+    s_membership,
+    t_membership,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -339,6 +353,104 @@ def render_surd_numerics() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _geometric_modulus(rng: random.Random, base: int) -> int:
+    """m, or m times a power of 2, of 6 or of the base; m = 1 in a quarter of
+    the cases, so the orbit can end in an all-zero cycle."""
+    r = rng.random()
+    m = 1 if r < 0.25 else rng.randint(2, 400) if r < 0.85 else rng.choice((4999, 7919, 10007))
+    if m > 1 and rng.random() < 0.25:
+        return m
+    return rng.choice((2, 6, base)) ** rng.randint(1, 6) * m
+
+
+def _strided(rng: random.Random, seq):
+    for _ in range(rng.choice((1, 1, 2))):
+        if rng.random() < 0.1:
+            stride, offset = rng.choice((10**6, 10**12)), rng.choice((0, 7, 10**12))
+        else:
+            stride, offset = rng.randint(1, 6), rng.randint(0, 8)
+        seq = Subsequence(seq, stride, offset)
+    return seq
+
+
+def _geometric_cycle_case(rng: random.Random, kind: str):
+    """(sequence, point) for one kind of rational residue orbit."""
+    base = rng.randint(2, 12)
+    q = _geometric_modulus(rng, base)
+    if kind in ("geom", "strided"):
+        seq = Geometric(base)
+        if kind == "strided":
+            seq = _strided(rng, seq)
+        return seq, (CirclePoint.rational(rng.randint(0, q), q),)
+    if kind == "vector":
+        k = rng.randint(2, 3)
+        seq = Geometric(base, tuple(rng.randint(-4, 4) for _ in range(k)))
+        if rng.random() < 0.5:
+            seq = _strided(rng, seq)
+        dens = [q] + [rng.choice((q, rng.randint(1, 12))) for _ in range(k - 1)]
+        return seq, tuple(CirclePoint.rational(rng.randint(-q, q), den) for den in dens)
+    if kind == "cancel":
+        # (a/c + s*sqrt(d), rest) with s cancelling the surd parts of rest
+        k = rng.randint(2, 3)
+        d = rng.choice((2, 3, 5, 7))
+        pattern = [rng.choice((-3, -2, -1, 1, 2, 3))] + [rng.randint(-3, 3) for _ in range(k - 1)]
+        rest = [
+            CirclePoint.quadratic(rng.randint(-9, 9), rng.randint(1, 3), rng.randint(1, 6), d)
+            for _ in range(k - 1)
+        ]
+        s = -sum(p * Fraction(x.surd_coeff, x.den) for p, x in zip(pattern[1:], rest))
+        s /= pattern[0]
+        if not s:
+            return None
+        a = rng.randint(-q, q)
+        first = CirclePoint.quadratic(a * s.denominator, s.numerator * q, q * s.denominator, d)
+        seq = Geometric(base, tuple(pattern))
+        if rng.random() < 0.5:
+            seq = _strided(rng, seq)
+        return seq, (first, *rest)
+    if kind == "const":
+        seq = _strided(rng, Constant((rng.randint(-q, q),)))
+        return seq, (CirclePoint.rational(1, q),)
+    # a strided interleave is one automaton over its children
+    children = (Geometric(base), Constant((rng.randint(-3, 3),)), _strided(rng, Geometric(base)))
+    blocks = tuple(rng.randint(1, 3) for _ in children)
+    seq = Subsequence(Interleave(children, blocks), rng.randint(1, 4), rng.randint(0, 5))
+    return seq, (CirclePoint.rational(rng.randint(1, q), q),)
+
+
+def _verdict_line(seq, x, v) -> str:
+    extra = "".join(
+        f" {name}={value}"
+        for name, value in (("horizon", v.horizon), ("worst", v.worst_bound))
+        if value is not None
+    )
+    return (
+        f"{seq} @ {','.join(map(str, x))}: {v.status} {v.member}{extra} | {v.reason} | "
+        + " ".join(f"{key}={value}" for key, value in v.detail)
+    )
+
+
+def render_geometric_cycles() -> str:
+    rng = random.Random(20261022)
+    lines = []
+    kinds = ("geom", "strided", "vector", "cancel", "const", "interleave")
+    while len(lines) < 360:
+        case = _geometric_cycle_case(rng, kinds[len(lines) % len(kinds)])
+        if case is None:
+            continue
+        seq, x = case
+        call = t_membership if len(x) == 1 and rng.random() < 0.5 else s_membership
+        v = call(seq, x[0]) if call is t_membership else call(seq, x)
+        lines.append(f"{call.__name__[0]} " + _verdict_line(seq, x, v))
+    # orbits longer than the state cap fall back to the scan
+    for seq, x in (
+        (Subsequence(Geometric(2), 1, 3), (CirclePoint.rational(5, 1000003),)),
+        (Geometric(2, (1, 1)), (CirclePoint.rational(1, 1000003), CirclePoint.rational(2, 1000003))),
+    ):
+        lines.append("s " + _verdict_line(seq, x, s_membership(seq, x)))
+    return "\n".join(lines) + "\n"
+
+
 def _recorded(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
@@ -359,6 +471,10 @@ def test_surd_numerics_match_recording():
     assert render_surd_numerics() == _recorded("surd_numerics.txt")
 
 
+def test_geometric_cycles_match_recording():
+    assert render_geometric_cycles() == _recorded("geometric_cycles.txt")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py record")
@@ -367,3 +483,4 @@ if __name__ == "__main__":
     (GOLDEN_DIR / "circle_numerics.txt").write_text(render_circle_numerics(), encoding="utf-8")
     (GOLDEN_DIR / "pattern_verdicts.txt").write_text(render_pattern_verdicts(), encoding="utf-8")
     (GOLDEN_DIR / "surd_numerics.txt").write_text(render_surd_numerics(), encoding="utf-8")
+    (GOLDEN_DIR / "geometric_cycles.txt").write_text(render_geometric_cycles(), encoding="utf-8")
