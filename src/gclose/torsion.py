@@ -11,11 +11,13 @@ scalar orbit converges to 0 in R/Z.  Verdicts come in three strengths:
   tolerance; no claim beyond the horizon.
 * Undecided: the scan saw norms above tolerance and no exact route applied.
 
-The exact routes never consult floating point: rational orbits live in a
-finite cyclic group and are decided by residue automata with cycle
-detection; quadratic orbits along continued-fraction denominators are
-decided through the classical approximation bound |q_n*alpha - p_n| <
-1/q_{n+1}.
+The exact routes never consult floating point.  Rational orbits live in a
+finite cyclic group.  Geometric orbits c*b^n mod q (plain, strided or
+constant) are decided in closed form: a gcd split of q gives the pre-period,
+baby-step giant-step gives the period, and no state is stored.  Other
+rational orbits are decided by residue automata with cycle detection.
+Quadratic orbits along continued-fraction denominators are decided through
+the classical approximation bound |q_n*alpha - p_n| < 1/q_{n+1}.
 
 One function, _verify_terms, evaluates every certificate claim.  For a
 sequence u on Z^k, generators h and N >= 1 terms it checks exactly, for
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import factorial, gcd, isqrt, lcm
 
 from .circle import (
     BoundedExpansionError,
@@ -144,9 +146,7 @@ class Factorial(IntVecSeq):
         return len(self.pattern)
 
     def term(self, n: int) -> tuple[int, ...]:
-        f = 1
-        for i in range(2, n + 1):
-            f *= i
+        f = factorial(n)
         return tuple(f * p for p in self.pattern)
 
     def describe(self) -> str:
@@ -434,21 +434,8 @@ class Verdict:
 # residue automata for rational points
 
 
-class _ConstMachine:
-    def __init__(self, r: int):
-        self.r = r
-
-    def state(self):
-        return ()
-
-    def residue(self) -> int:
-        return self.r
-
-    def advance(self):
-        pass
-
-
 class _GeoMachine:
+    # s_n = start * step^n mod q; a constant is step 1
     def __init__(self, start: int, step: int, q: int):
         self.s = start % q
         self.step = step % q
@@ -578,7 +565,7 @@ class _InterleaveMachine:
 def _build_machine(u: IntVecSeq, w: tuple[int, ...], q: int):
     """Automaton for n -> <u_n, w> mod q, or None when u has finite terms."""
     if isinstance(u, Constant):
-        return _ConstMachine(sum(a * b for a, b in zip(u.vector, w)) % q)
+        return _GeoMachine(sum(a * b for a, b in zip(u.vector, w)), 1, q)
     if isinstance(u, Geometric):
         c = sum(a * b for a, b in zip(u.pattern, w)) % q
         return _GeoMachine(c, u.base, q)
@@ -589,8 +576,8 @@ def _build_machine(u: IntVecSeq, w: tuple[int, ...], q: int):
         return _CFMachine(_expansion(u.alpha), w[0], q)
     if isinstance(u, Subsequence):
         inner = _build_machine(u.parent, w, q)
-        if inner is None or isinstance(inner, _ConstMachine):
-            return inner
+        if inner is None:
+            return None
         if isinstance(inner, _GeoMachine):
             # jump, not step: s_(A*n+B) = s_0 * b^B * (b^A)^n mod q
             return _GeoMachine(
@@ -635,8 +622,73 @@ def _summarize_cycle(residues, first, period, q) -> tuple[int, Fraction, int]:
     return best, Fraction(min(best, q - best), q), first + cycle.index(best)
 
 
-def _verdict_from_cycle(residues, first, period, q) -> Verdict:
-    best, norm, idx = _summarize_cycle(residues, first, period, q)
+def _order(g: int, m: int, bound: int) -> int | None:
+    """Least k in [1, bound] with g^k = 1 mod m, for g a unit mod m, or None
+    when the order exceeds bound.  Baby-step giant-step (Shanks 1971) with
+    isqrt(min(bound, m)) + 1 baby steps."""
+    if m == 1:
+        return 1
+    n = min(bound, m)
+    t = isqrt(n) + 1
+    baby, e = {}, 1
+    for j in range(t):
+        if j and e == 1:
+            return j
+        baby[e] = j
+        e = e * g % m
+    # the order is at least t, so the baby steps are distinct; e = g^t
+    giant = e
+    for i in range(1, -(-n // t) + 1):
+        j = baby.get(giant)
+        if j is not None:
+            k = i * t - j
+            return k if k <= bound else None
+        giant = giant * e % m
+    return None
+
+
+def _geometric_cycle(
+    start: int, step: int, q: int, cap: int = _STATE_CAP
+) -> tuple[int, int, int, int] | None:
+    """(first, period, best, index) of the orbit s_n = start*step^n mod q, as
+    _run_cycle and _summarize_cycle give them on _GeoMachine(start, step, q),
+    or None exactly when first + period > cap.
+
+    q = q1*q2 with q2 the largest divisor of q coprime to step.  Modulo q1 the
+    orbit is distinct until it reaches 0, where it stays; modulo q2 step is a
+    unit, so that part is purely periodic.  Hence first is the least n with
+    q1 | s_n, and period is the order of step modulo q2/gcd(s_first, q2).
+    An all-zero cycle has best 0 and index first, since no residue before
+    it is 0."""
+    step %= q
+    q2, g = q, gcd(q, step)
+    while g > 1:
+        q2 //= g
+        g = gcd(q2, g)
+    q1 = q // q2
+    first, r = 0, start % q1
+    while r:
+        r = r * step % q1
+        first += 1
+    if first >= cap:
+        return None
+    s = start * pow(step, first, q) % q
+    period = _order(step, q2 // gcd(s, q2), cap - first)
+    if period is None:
+        return None
+    best, index, v = s, first, s
+    top = min(s, q - s)
+    for n in range(first + 1, first + period):
+        v = v * step % q
+        d = min(v, q - v)
+        if d > top or (d == top and v < best):
+            best, index, top = v, n, d
+    return first, period, best, index
+
+
+def _orbit_verdict(q: int, first: int, period: int, best: int, idx: int) -> Verdict:
+    """Exact verdict for a residue orbit mod q with cycle [first, first+period)
+    whose best residue best first appears at idx (see _summarize_cycle)."""
     if not best:
         return Verdict.exact_in(
             f"pairing = 0 (mod 1) for all n >= {idx}; the residue orbit mod {q} "
@@ -646,6 +698,7 @@ def _verdict_from_cycle(residues, first, period, q) -> Verdict:
             period=period,
             modulus=q,
         )
+    norm = Fraction(min(best, q - best), q)
     return Verdict.exact_out(
         f"pairing norm = {norm} at n = {idx}, recurring with period {period} "
         f"(residue {best} mod {q})",
@@ -754,13 +807,17 @@ def _decide_rational(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -
         c = sum(a * b for a, b in zip(root.pattern, w)) % q
         return _factorial_in(c, q, A, B)
     machine = _build_machine(u, w, q)
-    if machine is None:
+    if isinstance(machine, _GeoMachine):
+        orbit = _geometric_cycle(machine.s, machine.step, q)
+    elif machine is not None and (run := _run_cycle(machine)) is not None:
+        residues, first, period = run
+        best, _, idx = _summarize_cycle(residues, first, period, q)
+        orbit = first, period, best, idx
+    else:
+        orbit = None
+    if orbit is None:
         return _scan(u, x, policy)
-    run = _run_cycle(machine)
-    if run is None:
-        return _scan(u, x, policy)
-    residues, first, period = run
-    return _verdict_from_cycle(residues, first, period, q)
+    return _orbit_verdict(q, *orbit)
 
 
 def _pair_split(

@@ -13,6 +13,8 @@ import os
 import re
 import shlex
 import sys
+import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -66,6 +68,27 @@ def test_golden_output(name, argv, monkeypatch):
             monkeypatch.delenv(key)
     expected = (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
     assert render(argv) == expected
+
+
+@pytest.mark.parametrize("name", ["tmem-geom-state-cap", "tmem-geom-state-cap-m61"])
+def test_state_cap_queries_are_fast_and_small(name, monkeypatch):
+    # orbits of more than 10^6 states: the period search stores O(sqrt) states
+    for key in list(os.environ):
+        if key.startswith("GCLOSE_"):
+            monkeypatch.delenv(key)
+    argv = dict(CASES)[name]
+    tracemalloc.start()
+    try:
+        started = time.perf_counter()
+        text = render(argv)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+    assert text.startswith("exit 2\n")
+    assert elapsed < 0.5, elapsed
+    assert peak < 5 * 2**20, peak
 
 
 if __name__ == "__main__":

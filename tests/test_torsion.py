@@ -6,6 +6,7 @@ on r -> base*r mod q, factorial membership by q | n!, continued-fraction
 residues by the convergent recurrence mod q.
 """
 
+import random
 import time
 from fractions import Fraction
 
@@ -43,6 +44,13 @@ from gclose.torsion import (
     recheck_null_certificate,
     s_membership,
     t_membership,
+)
+from gclose.torsion import (
+    _STATE_CAP,
+    _GeoMachine,
+    _geometric_cycle,
+    _run_cycle,
+    _summarize_cycle,
 )
 
 GOLDEN = CirclePoint.quadratic(-1, 1, 2, 5)
@@ -273,6 +281,61 @@ def test_large_stride_and_offset_are_jumped_not_stepped():
     v = t_membership(Subsequence(Constant((1,)), 1, 10**12), CirclePoint.rational(1, 3))
     assert v.status == "exact" and v.member is False
     assert time.perf_counter() - started < 1
+
+
+def _automaton_cycle(start, step, q, cap):
+    run = _run_cycle(_GeoMachine(start, step, q), cap)
+    if run is None:
+        return None
+    residues, first, period = run
+    best, _, index = _summarize_cycle(residues, first, period, q)
+    return first, period, best, index
+
+
+def _geometric_cycle_cases():
+    """(start, step, q): step 0 and 1, start = 0 mod q2, and seeded orbits
+    with q = f^k*m for f in 2, 6 and the base, so q shares primes with step."""
+    rng = random.Random(20261023)
+    cases = []
+    for q in (1, 2, 9, 12, 97, 224, 1080, 2**6 * 7, 6**4 * 5):
+        for step in (0, 1, q - 1, q, q + 1, -1):
+            cases += [(start, step, q) for start in (0, 1, q // 2, rng.randrange(-q, 2 * q))]
+    for m, f, k in ((7, 2, 5), (35, 6, 3), (9, 6, 2), (11, 10, 4)):
+        # step f*u with u coprime to m leaves q2 = m
+        q = f**k * m
+        cases += [(m * rng.randint(1, f**k), f * u, q) for u in (1, m + 1, 2 * m + 1)]
+    for _ in range(300):
+        base = rng.randint(2, 12)
+        m = rng.choice((1, rng.randint(2, 60), rng.choice((101, 997, 4999))))
+        q = rng.choice((2, 6, base)) ** rng.randint(0, 6) * m
+        step = pow(base, rng.randint(1, 4), q) if rng.random() < 0.8 else rng.randrange(q)
+        cases.append((rng.randrange(-q, 2 * q), step, q))
+    return rng, cases
+
+
+def test_geometric_cycle_matches_the_automaton():
+    rng, cases = _geometric_cycle_cases()
+    for start, step, q in cases:
+        full = _automaton_cycle(start, step, q, _STATE_CAP)
+        assert _geometric_cycle(start, step, q) == full, (start, step, q)
+        first, period = full[:2]
+        edge = first + period
+        # the cap admits first + period states, and one fewer is too few
+        assert _geometric_cycle(start, step, q, edge) == full, (start, step, q)
+        if edge > 1:
+            assert _geometric_cycle(start, step, q, edge - 1) is None
+            assert _automaton_cycle(start, step, q, edge - 1) is None
+        for cap in rng.sample(range(1, 81), 10):
+            expected = _automaton_cycle(start, step, q, cap)
+            assert _geometric_cycle(start, step, q, cap) == expected, (start, step, q, cap)
+
+
+def test_geometric_cycle_at_every_small_cap():
+    _, cases = _geometric_cycle_cases()
+    for start, step, q in cases[::6]:
+        for cap in range(1, 81):
+            expected = _automaton_cycle(start, step, q, cap)
+            assert _geometric_cycle(start, step, q, cap) == expected, (start, step, q, cap)
 
 
 def test_smem_vector():
