@@ -29,7 +29,8 @@ diff line by line.
   orbits: ``geom`` plain and strided, vector patterns, pattern-cancelling
   irrational points, constants and strided interleaves.  Moduli are 2^k*m,
   6^k*m, base^k*m or m, so many share primes with the base and many orbits
-  end in an all-zero cycle; two orbits pass the state cap.
+  end in an all-zero cycle.  The last two cases, and one seeded case,
+  pass the state cap and fall back to the scan.
 """
 
 import hashlib

@@ -44,8 +44,6 @@ from gclose.torsion import (
     recheck_null_certificate,
     s_membership,
     t_membership,
-)
-from gclose.torsion import (
     _STATE_CAP,
     _GeoMachine,
     _geometric_cycle,
