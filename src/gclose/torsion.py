@@ -778,7 +778,7 @@ def _chain(u: IntVecSeq) -> tuple[IntVecSeq, int, int]:
     """(root, A, B) with u.term(n) == root.term(A*n + B) for every n."""
     A, B = 1, 0
     while isinstance(u, Subsequence):
-        A, B = A * u.stride, A * u.offset + B
+        A, B = A * u.stride, u.stride * B + u.offset
         u = u.parent
     return u, A, B
 

@@ -45,6 +45,7 @@ from gclose.torsion import (
     s_membership,
     t_membership,
     _STATE_CAP,
+    _chain,
     _GeoMachine,
     _geometric_cycle,
     _run_cycle,
@@ -136,6 +137,24 @@ def test_interleave_blocks():
 def test_subsequence_index_map():
     u = Subsequence(CFDenominators(GOLDEN), 3, 1)
     assert [eval_seq(u, n)[0] for n in range(4)] == [1, 5, 21, 89]
+
+
+def test_chain_composes_nested_strides():
+    # sub(a,b):v reads v at a*n+b, so an inner sub(c,d) reads the root at
+    # c*(a*n+b)+d: A = a*c, B = c*b+d
+    u = Subsequence(Subsequence(Geometric(2), 3, 0), 2, 1)
+    assert _chain(u) == (Geometric(2), 6, 3) and u.term(0) == (8,)
+    rng = random.Random(20261024)
+    roots = (Geometric(3), Factorial(), CFDenominators(GOLDEN), Constant((5,)))
+    for _ in range(200):
+        root = rng.choice(roots)
+        u = root
+        for _ in range(rng.randint(1, 4)):
+            u = Subsequence(u, rng.randint(1, 4), rng.randint(0, 5))
+        chained, A, B = _chain(u)
+        assert chained is root
+        for n in range(4):
+            assert u.term(n) == root.term(A * n + B), (u.describe(), n)
 
 
 # membership: frozen examples ---------------------------------------------------
