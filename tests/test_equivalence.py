@@ -31,6 +31,13 @@ diff line by line.
   6^k*m, base^k*m or m, so many share primes with the base and many orbits
   end in an all-zero cycle.  The last two cases, and one seeded case,
   pass the state cap and fall back to the scan.
+* ``strided_orbits.txt``: ``t_membership`` verdicts on the residue orbits
+  that strides and interleaves build over every kind of leaf: strided
+  ``cfden`` at rational points, strided pair orbits at points of the
+  continued fraction's own quadratic field, and strided interleaves whose
+  children are ``geom``, ``const``, ``fact``, ``cfden`` and further
+  interleaves.  The last cases are orbits of about 10^6 states, just inside
+  and just past the state cap.
 """
 
 import hashlib
@@ -61,6 +68,7 @@ from gclose.duality import (
     closure_in_dual,
 )
 from gclose.torsion import (
+    CFDenominators,
     Constant,
     Factorial,
     Geometric,
@@ -452,6 +460,74 @@ def render_geometric_cycles() -> str:
     return "\n".join(lines) + "\n"
 
 
+CF_POINTS = (
+    CirclePoint.quadratic(-1, 1, 2, 5),
+    CirclePoint.quadratic(-1, 1, 1, 2),
+    CirclePoint.quadratic(1, 1, 2, 3),
+    CirclePoint.quadratic(2, 1, 3, 7),
+)
+
+
+def _small_strides(rng: random.Random, seq):
+    for _ in range(rng.choice((1, 1, 2))):
+        seq = Subsequence(seq, rng.randint(1, 6), rng.randint(0, 8))
+    return seq
+
+
+def _orbit_leaf(rng: random.Random, depth: int):
+    kinds = ("geom", "const", "fact", "cfden", "interleave")
+    kind = rng.choice(kinds if depth else kinds[:-1])
+    if kind == "geom":
+        seq = Geometric(rng.randint(2, 12))
+    elif kind == "const":
+        seq = Constant((rng.randint(-3, 3),))
+    elif kind == "fact":
+        seq = Factorial()
+    elif kind == "cfden":
+        seq = CFDenominators(rng.choice(CF_POINTS))
+    else:
+        seq = _orbit_interleave(rng, depth - 1)
+    return _small_strides(rng, seq) if rng.random() < 0.4 else seq
+
+
+def _orbit_interleave(rng: random.Random, depth: int):
+    children = tuple(_orbit_leaf(rng, depth) for _ in range(rng.randint(1, 3)))
+    return Interleave(children, tuple(rng.randint(1, 3) for _ in children))
+
+
+def _strided_orbit_case(rng: random.Random, kind: str):
+    """(sequence, point) for one kind of strided residue orbit."""
+    if kind == "cfden":
+        seq = _small_strides(rng, CFDenominators(rng.choice(CF_POINTS)))
+        q = rng.randint(2, 400)
+        return seq, CirclePoint.rational(rng.randrange(1, q), q)
+    if kind == "pair":
+        # x = m*alpha + r in alpha's quadratic field
+        alpha = rng.choice(CF_POINTS)
+        seq = _small_strides(rng, CFDenominators(alpha))
+        b = rng.choice((-3, -2, -1, 1, 2, 3)) * alpha.surd_coeff
+        return seq, CirclePoint.quadratic(rng.randint(-20, 20), b, rng.randint(1, 30), alpha.surd)
+    seq = Subsequence(_orbit_interleave(rng, 1), rng.randint(1, 4), rng.randint(0, 5))
+    q = rng.choice((rng.randint(2, 60), rng.randint(2, 8) ** rng.randint(1, 4)))
+    return seq, CirclePoint.rational(rng.randrange(1, q), q)
+
+
+def render_strided_orbits() -> str:
+    rng = random.Random(20261025)
+    lines = []
+    kinds = ("cfden", "pair", "interleave")
+    while len(lines) < 300:
+        seq, x = _strided_orbit_case(rng, kinds[len(lines) % len(kinds)])
+        lines.append(_verdict_line(seq, (x,), t_membership(seq, x)))
+    # the order of 2 is 499991 mod 999983 and 500079 mod 1000159, so the
+    # interleave's orbit has 999982 and 1000158 states
+    near_cap = Subsequence(Interleave((Geometric(2), Constant((1,))), (1, 1)), 1, 0)
+    for q in (999983, 1000159):
+        x = CirclePoint.rational(1, q)
+        lines.append(_verdict_line(near_cap, (x,), t_membership(near_cap, x)))
+    return "\n".join(lines) + "\n"
+
+
 def _recorded(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
@@ -476,6 +552,10 @@ def test_geometric_cycles_match_recording():
     assert render_geometric_cycles() == _recorded("geometric_cycles.txt")
 
 
+def test_strided_orbits_match_recording():
+    assert render_strided_orbits() == _recorded("strided_orbits.txt")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py record")
@@ -485,3 +565,4 @@ if __name__ == "__main__":
     (GOLDEN_DIR / "pattern_verdicts.txt").write_text(render_pattern_verdicts(), encoding="utf-8")
     (GOLDEN_DIR / "surd_numerics.txt").write_text(render_surd_numerics(), encoding="utf-8")
     (GOLDEN_DIR / "geometric_cycles.txt").write_text(render_geometric_cycles(), encoding="utf-8")
+    (GOLDEN_DIR / "strided_orbits.txt").write_text(render_strided_orbits(), encoding="utf-8")
