@@ -11,11 +11,18 @@ scalar orbit converges to 0 in R/Z.  Verdicts come in three strengths:
   tolerance; no claim beyond the horizon.
 * Undecided: the scan saw norms above tolerance and no exact route applied.
 
-The exact routes never consult floating point.  Rational orbits live in a
-finite cyclic group.  Geometric orbits c*b^n mod q (plain, strided or
-constant) are decided in closed form: a gcd split of q gives the pre-period,
-baby-step giant-step gives the period, and no state is stored.  Other
-rational orbits are decided by residue automata with cycle detection.
+The exact routes never consult floating point.  A rational point makes
+n -> <u_n, x> a residue orbit mod q: a pre-period, then a period of states.
+Geometric orbits c*b^n mod q (plain, strided or constant) are closed form:
+a gcd split of q gives the pre-period, baby-step giant-step the period, and
+no state is stored.  A factorial orbit is absorbed at the least a with
+q | a!*c and then has period q.  Only convergent-denominator orbits are run,
+by an automaton with cycle detection.  Strides and interleaves of these are
+index arithmetic: a stride (A, B) over (first, period) starts at the least n
+with A*n + B >= first and repeats every period/gcd(A, period); an interleave
+with blocks b_j starts once every child is in its cycle and repeats every
+sum(b_j)*lcm_j(p_j/gcd(b_j, p_j)).  The state cap bounds every part of an
+orbit (each leaf, each interleave and the whole); past it the ladder scans.
 Quadratic orbits along continued-fraction denominators are decided through
 the classical approximation bound |q_n*alpha - p_n| < 1/q_{n+1}.
 
@@ -30,8 +37,10 @@ index, term, envelope and threshold with n, u_n, 2^-n and delta.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import factorial, gcd, isqrt, lcm
 
 from .circle import (
@@ -431,42 +440,7 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# residue automata for rational points
-
-
-class _GeoMachine:
-    # s_n = start * step^n mod q; a constant is step 1
-    def __init__(self, start: int, step: int, q: int):
-        self.s = start % q
-        self.step = step % q
-        self.q = q
-
-    def state(self):
-        return self.s
-
-    def residue(self) -> int:
-        return self.s
-
-    def advance(self):
-        self.s = self.s * self.step % self.q
-
-
-class _FactMachine:
-    # r_n = n! * c mod q; the next multiplier is (n+1) mod q
-    def __init__(self, c: int, q: int):
-        self.r = c % q
-        self.m = 0
-        self.q = q
-
-    def state(self):
-        return (self.r, self.m)
-
-    def residue(self) -> int:
-        return self.r
-
-    def advance(self):
-        self.m = (self.m + 1) % self.q
-        self.r = self.r * self.m % self.q
+# residue orbits for rational points
 
 
 class _CFMachine:
@@ -518,91 +492,29 @@ class _PairMachine:
         self.idx += 1
 
 
-class _StrideMachine:
-    def __init__(self, parent, stride: int, offset: int):
-        self.parent = parent
-        self.stride = stride
-        for _ in range(offset):
-            parent.advance()
+@dataclass(frozen=True)
+class _Orbit:
+    """The residue orbit of an automaton whose states repeat from index first
+    with period period; at(n) is the residue at any index n >= 0."""
 
-    def state(self):
-        return self.parent.state()
-
-    def residue(self) -> int:
-        return self.parent.residue()
-
-    def advance(self):
-        for _ in range(self.stride):
-            self.parent.advance()
+    first: int
+    period: int
+    at: Callable[[int], int]
 
 
-class _InterleaveMachine:
-    def __init__(self, children, blocks):
-        self.children = children
-        self.blocks = blocks
-        self.cycle = sum(blocks)
-        self.slot = 0
-
-    def _active(self) -> int:
-        r = self.slot
-        for j, b in enumerate(self.blocks):
-            if r < b:
-                return j
-            r -= b
-        raise AssertionError("unreachable")
-
-    def state(self):
-        return (self.slot, tuple(c.state() for c in self.children))
-
-    def residue(self) -> int:
-        return self.children[self._active()].residue()
-
-    def advance(self):
-        self.children[self._active()].advance()
-        self.slot = (self.slot + 1) % self.cycle
-
-
-def _build_machine(u: IntVecSeq, w: tuple[int, ...], q: int):
-    """Automaton for n -> <u_n, w> mod q, or None when u has finite terms."""
-    if isinstance(u, Constant):
-        return _GeoMachine(sum(a * b for a, b in zip(u.vector, w)), 1, q)
-    if isinstance(u, Geometric):
-        c = sum(a * b for a, b in zip(u.pattern, w)) % q
-        return _GeoMachine(c, u.base, q)
-    if isinstance(u, Factorial):
-        c = sum(a * b for a, b in zip(u.pattern, w)) % q
-        return _FactMachine(c, q)
-    if isinstance(u, CFDenominators):
-        return _CFMachine(_expansion(u.alpha), w[0], q)
-    if isinstance(u, Subsequence):
-        inner = _build_machine(u.parent, w, q)
-        if inner is None:
-            return None
-        if isinstance(inner, _GeoMachine):
-            # jump, not step: s_(A*n+B) = s_0 * b^B * (b^A)^n mod q
-            return _GeoMachine(
-                inner.s * pow(inner.step, u.offset, q),
-                pow(inner.step, u.stride, q),
-                q,
-            )
-        return _StrideMachine(inner, u.stride, u.offset)
-    if isinstance(u, Interleave):
-        inner = [_build_machine(c, w, q) for c in u.children]
-        if any(m is None for m in inner):
-            return None
-        return _InterleaveMachine(inner, u.blocks)
-    return None
-
-
-def _run_cycle(machine, cap: int = _STATE_CAP):
-    """Drive the automaton to a state repetition; residues plus cycle bounds."""
+def _run_cycle(machine, cap: int = _STATE_CAP) -> _Orbit | None:
+    """Drive the automaton to a state repetition: its orbit, or None when
+    that takes more than cap states."""
     seen: dict = {}
     residues: list[int] = []
     while True:
         st = machine.state()
         if st in seen:
             first = seen[st]
-            return residues, first, len(residues) - first
+            period = len(residues) - first
+            return _Orbit(
+                first, period, lambda n: residues[n if n < first else first + (n - first) % period]
+            )
         if len(residues) >= cap:
             return None
         seen[st] = len(residues)
@@ -610,11 +522,13 @@ def _run_cycle(machine, cap: int = _STATE_CAP):
         machine.advance()
 
 
-def _summarize_cycle(residues, first, period, q) -> tuple[int, Fraction, int]:
+def _summarize_cycle(orbit: _Orbit, q: int) -> tuple[int, Fraction, int]:
     """(best, norm, index) of a residue orbit mod q with cycle [first, first+period):
     (0, 0, n0) for an all-zero cycle, n0 one past the last nonzero residue;
     else the cycle residue of largest norm (smaller on ties) at its first index."""
-    cycle = residues[first : first + period]
+    first = orbit.first
+    residues = [orbit.at(n) for n in range(first + orbit.period)]
+    cycle = residues[first:]
     if not any(cycle):
         nz = [i for i, v in enumerate(residues) if v]
         return 0, Fraction(0), max(nz) + 1 if nz else 0
@@ -647,19 +561,14 @@ def _order(g: int, m: int, bound: int) -> int | None:
     return None
 
 
-def _geometric_cycle(
-    start: int, step: int, q: int, cap: int = _STATE_CAP
-) -> tuple[int, int, int, int] | None:
-    """(first, period, best, index) of the orbit s_n = start*step^n mod q, as
-    _run_cycle and _summarize_cycle give them on _GeoMachine(start, step, q),
-    or None exactly when first + period > cap.
+def _geometric_shape(start: int, step: int, q: int, cap: int) -> tuple[int, int] | None:
+    """(first, period) of the orbit s_n = start*step^n mod q, or None exactly
+    when first + period > cap.
 
     q = q1*q2 with q2 the largest divisor of q coprime to step.  Modulo q1 the
     orbit is distinct until it reaches 0, where it stays; modulo q2 step is a
     unit, so that part is purely periodic.  Hence first is the least n with
-    q1 | s_n, and period is the order of step modulo q2/gcd(s_first, q2).
-    An all-zero cycle has best 0 and index first, since no residue before
-    it is 0."""
+    q1 | s_n, and period is the order of step modulo q2/gcd(s_first, q2)."""
     step %= q
     q2, g = q, gcd(q, step)
     while g > 1:
@@ -674,8 +583,21 @@ def _geometric_cycle(
         return None
     s = start * pow(step, first, q) % q
     period = _order(step, q2 // gcd(s, q2), cap - first)
-    if period is None:
+    return None if period is None else (first, period)
+
+
+def _geometric_cycle(
+    start: int, step: int, q: int, cap: int = _STATE_CAP
+) -> tuple[int, int, int, int] | None:
+    """(first, period, best, index) of the orbit s_n = start*step^n mod q, as
+    _summarize_cycle gives them, or None exactly when first + period > cap.
+    One walk over the cycle, no residue stored.  An all-zero cycle has best 0
+    and index first, since no residue before it is 0."""
+    shape = _geometric_shape(start, step, q, cap)
+    if shape is None:
         return None
+    first, period = shape
+    s = start * pow(step, first, q) % q
     best, index, v = s, first, s
     top = min(s, q - s)
     for n in range(first + 1, first + period):
@@ -684,6 +606,82 @@ def _geometric_cycle(
         if d > top or (d == top and v < best):
             best, index, top = v, n, d
     return first, period, best, index
+
+
+def _geometric_start(
+    root: IntVecSeq, A: int, B: int, w: tuple[int, ...], q: int
+) -> tuple[int, int]:
+    """(start, step) with <root_(A*n+B), w> = start*step^n mod q for a
+    geometric or constant root, by jumping with pow rather than stepping."""
+    if isinstance(root, Constant):
+        return _dot(root.vector, w) % q, 1
+    return _dot(root.pattern, w) * pow(root.base, B, q) % q, pow(root.base, A, q)
+
+
+def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _factorial_residues(c: int, q: int):
+    """n!*c mod q for n = 0, 1, ... up to, not including, the first zero."""
+    r, n = c % q, 0
+    while r:
+        yield r
+        n += 1
+        r = r * n % q
+
+
+def _orbit(u: IntVecSeq, w: tuple[int, ...], q: int, cap: int = _STATE_CAP) -> _Orbit | None:
+    """The orbit n -> <u_n, w> mod q (see the module docstring), or None when
+    u has finite terms or some part of it has more than cap states.  A cfden
+    root with w = (cp, cq) gives the orbit of cp*p_n + cq*q_n instead."""
+    root, A, B = _chain(u)
+    if isinstance(root, (Constant, Geometric)):
+        start, step = _geometric_start(root, A, B, w, q)
+        shape = _geometric_shape(start, step, q, cap)
+        if shape is None:
+            return None
+        return _Orbit(*shape, lambda n: start * pow(step, n, q) % q)
+    if isinstance(root, Factorial):
+        absorbed = list(islice(_factorial_residues(_dot(root.pattern, w), q), max(0, cap - q + 1)))
+        if len(absorbed) + q > cap:
+            return None
+        orbit = _Orbit(len(absorbed), q, lambda n: absorbed[n] if n < len(absorbed) else 0)
+    elif isinstance(root, CFDenominators):
+        cf = _expansion(root.alpha)
+        machine = _CFMachine(cf, w[0], q) if len(w) == 1 else _PairMachine(cf, *w, q)
+        orbit = _run_cycle(machine, cap)
+    elif isinstance(root, Interleave):
+        orbit = _interleave_orbit(root, w, q, cap)
+    else:
+        return None
+    if orbit is None:
+        return None
+    return _Orbit(
+        max(0, -((B - orbit.first) // A)),
+        orbit.period // gcd(A, orbit.period),
+        lambda n: orbit.at(A * n + B),
+    )
+
+
+def _interleave_orbit(u: Interleave, w: tuple[int, ...], q: int, cap: int) -> _Orbit | None:
+    """Interleave of the children's orbits (f_j, p_j) with blocks b_j and
+    cycle C = sum(b_j): the state repeats once every child is in its cycle,
+    from max_j(global_index(j, f_j - 1) + 1), and every C*lcm_j(p_j/gcd(b_j, p_j))
+    indices."""
+    parts = [_orbit(c, w, q, cap) for c in u.children]
+    if any(o is None for o in parts):
+        return None
+    first = max(u.global_index(j, o.first - 1) + 1 for j, o in enumerate(parts))
+    period = sum(u.blocks) * lcm(*(o.period // gcd(b, o.period) for o, b in zip(parts, u.blocks)))
+    if first + period > cap:
+        return None
+
+    def at(n: int) -> int:
+        j, m = u._locate(n)
+        return parts[j].at(m)
+
+    return _Orbit(first, period, at)
 
 
 def _orbit_verdict(q: int, first: int, period: int, best: int, idx: int) -> Verdict:
@@ -784,11 +782,12 @@ def _chain(u: IntVecSeq) -> tuple[IntVecSeq, int, int]:
 
 
 def _factorial_in(c: int, q: int, A: int, B: int) -> Verdict:
-    """Absorbing divisibility: (An+B)! * c = 0 mod q from some index on."""
-    m, f = 0, 1
-    while f * c % q:
-        m += 1
-        f = f * (m % q) % q
+    """Absorbing divisibility: (An+B)! * c = 0 mod q from some index on.  The
+    least m with q | m!*c is searched up to the state cap; past it m = q,
+    since q | q! (and q is the least m when q is prime)."""
+    m = sum(1 for _ in islice(_factorial_residues(c, q), _STATE_CAP + 1))
+    if m > _STATE_CAP:
+        m = q
     start = 0 if B >= m else -((B - m) // A)
     return Verdict.exact_in(
         f"q = {q} divides (A*n+B)!*{c} for all n >= {start} "
@@ -804,15 +803,12 @@ def _decide_rational(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -
     w = tuple(p.num * (q // p.den) for p in x)
     root, A, B = _chain(u)
     if isinstance(root, Factorial):
-        c = sum(a * b for a, b in zip(root.pattern, w)) % q
-        return _factorial_in(c, q, A, B)
-    machine = _build_machine(u, w, q)
-    if isinstance(machine, _GeoMachine):
-        orbit = _geometric_cycle(machine.s, machine.step, q)
-    elif machine is not None and (run := _run_cycle(machine)) is not None:
-        residues, first, period = run
-        best, _, idx = _summarize_cycle(residues, first, period, q)
-        orbit = first, period, best, idx
+        return _factorial_in(_dot(root.pattern, w) % q, q, A, B)
+    if isinstance(root, (Constant, Geometric)):
+        orbit = _geometric_cycle(*_geometric_start(root, A, B, w, q), q)
+    elif (o := _orbit(u, w, q)) is not None:
+        best, _, idx = _summarize_cycle(o, q)
+        orbit = o.first, o.period, best, idx
     else:
         orbit = None
     if orbit is None:
@@ -820,26 +816,34 @@ def _decide_rational(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -
     return _orbit_verdict(q, *orbit)
 
 
-def _pair_split(
-    alpha: CirclePoint, x: CirclePoint
-) -> tuple[Fraction, Fraction, int, _PairMachine]:
-    """x = m*alpha + r in alpha's quadratic field, so q_n*x = (m*p_n + r*q_n)
-    + m*(q_n*alpha - p_n); the bracket lives in (1/L)Z.  Returns m, r, L and
-    the automaton of its numerators mod L along the convergents."""
+def _cf_pairing(alpha: CirclePoint, x: CirclePoint) -> tuple[tuple[int, ...], int] | None:
+    """(w, L) such that _orbit(cfden:alpha, w, L) is the residue orbit of
+    q_n*x: w = (num,) and L = den for a rational x.  For x = m*alpha + r in
+    alpha's quadratic field, q_n*x = (m*p_n + r*q_n) + m*(q_n*alpha - p_n),
+    the bracket lives in (1/L)Z and w = (m*L, r*L).  None for any other x."""
+    if x.is_rational:
+        return (x.num,), x.den
+    if x.surd != alpha.surd:
+        return None
     m = Fraction(x.surd_coeff * alpha.den, x.den * alpha.surd_coeff)
     r = Fraction(x.num, x.den) - m * Fraction(alpha.num, alpha.den)
     L = lcm(m.denominator, r.denominator)
-    return m, r, L, _PairMachine(_expansion(alpha), int(m * L), int(r * L), L)
+    return (int(m * L), int(r * L)), L
 
 
-def _decide_cf_quadratic(alpha: CirclePoint, A: int, B: int, x: CirclePoint) -> Verdict:
-    """Decide q_(A*n+B)*x through the pair automaton of _pair_split."""
-    m, r, L, pairs = _pair_split(alpha, x)
-    run = _run_cycle(_StrideMachine(pairs, A, B))
-    if run is None:  # unreachable for quadratics; defensive
-        raise AssertionError("quadratic pair automaton failed to cycle")
-    residues, first, period = run
-    best, vnorm, idx = _summarize_cycle(residues, first, period, L)
+def _decide_cf_quadratic(
+    u: IntVecSeq, x: CirclePoint, pairing: tuple[tuple[int, ...], int], policy: Policy
+) -> Verdict:
+    """Decide q_(A*n+B)*x for x in alpha's field through the pair orbit of
+    _cf_pairing, or scan when that orbit passes the state cap."""
+    root, A, B = _chain(u)
+    w, L = pairing
+    orbit = _orbit(u, w, L)
+    if orbit is None:
+        return _scan(u, (x,), policy)
+    m, r = Fraction(w[0], L), Fraction(w[1], L)
+    first, period = orbit.first, orbit.period
+    best, vnorm, idx = _summarize_cycle(orbit, L)
     if not best:
         return Verdict.exact_in(
             f"<u_n, x> = R_n/{L} + m*theta_n with R_n = 0 for all n >= {idx} "
@@ -854,7 +858,7 @@ def _decide_cf_quadratic(alpha: CirclePoint, A: int, B: int, x: CirclePoint) -> 
     # past the tail index the CF perturbation is below vnorm/2
     threshold = 2 * abs(m) / vnorm
     M = 0
-    while Fraction(_q_denominator(alpha, M)) < threshold:
+    while Fraction(_q_denominator(root.alpha, M)) < threshold:
         M += 1
     # escape indices idx + t*period once A*n + B + 1 >= M
     lowest = max(idx, 0 if B + 1 >= M else -((B + 1 - M) // A))
@@ -982,10 +986,9 @@ def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict
     if (
         isinstance(root, CFDenominators)
         and len(x) == 1
-        and not x[0].is_rational
-        and x[0].surd == root.alpha.surd
+        and (pairing := _cf_pairing(root.alpha, x[0])) is not None
     ):
-        return _decide_cf_quadratic(root.alpha, A, B, x[0])
+        return _decide_cf_quadratic(u, x[0], pairing, policy)
     if isinstance(root, (Geometric, Factorial)):
         y = pair(root.pattern, x)
         if y.is_rational():

@@ -33,12 +33,10 @@ from .torsion import (
     NullTermCert,
     Subsequence,
     Verdict,
-    _expansion,
+    _cf_pairing,
     _null_terms,
-    _pair_split,
-    _run_cycle,
+    _orbit,
     _verify_terms,
-    _CFMachine,
     t_membership,
 )
 
@@ -205,21 +203,17 @@ def _stage_cf_subsequence(topology, chi, delta, count, counter) -> Witness | Non
     alpha = chars[0][0]
     if alpha.is_rational:
         return None
-    x = chi[0]
-    if x.is_rational:
-        modulus = x.den
-        machine = _CFMachine(_expansion(alpha), x.num, modulus)
-    elif x.surd == alpha.surd:
-        _, _, modulus, machine = _pair_split(alpha, x)
-    else:
+    pairing = _cf_pairing(alpha, chi[0])
+    if pairing is None:
         return None
-    run = _run_cycle(machine)
-    if run is None:
+    w, modulus = pairing
+    orbit = _orbit(CFDenominators(alpha), w, modulus)
+    if orbit is None:
         return None
-    residues, first, period = run
-    cycle = residues[first : first + period]
+    first, period = orbit.first, orbit.period
     classes = []
-    for pos, v in enumerate(cycle):
+    for pos in range(period):
+        v = orbit.at(first + pos)
         norm = Fraction(min(v, modulus - v), modulus)
         if v and norm >= delta:
             classes.append((norm, pos))

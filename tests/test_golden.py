@@ -70,9 +70,12 @@ def test_golden_output(name, argv, monkeypatch):
     assert render(argv) == expected
 
 
-@pytest.mark.parametrize("name", ["tmem-geom-state-cap", "tmem-geom-state-cap-m61"])
+@pytest.mark.parametrize(
+    "name", ["tmem-geom-state-cap", "tmem-geom-state-cap-m61", "tmem-interleave-strided-state-cap"]
+)
 def test_state_cap_queries_are_fast_and_small(name, monkeypatch):
-    # orbits of more than 10^6 states: the period search stores O(sqrt) states
+    # orbits of more than 10^6 states: the period search stores O(sqrt) states,
+    # and an interleave's period is known before any residue is read
     for key in list(os.environ):
         if key.startswith("GCLOSE_"):
             monkeypatch.delenv(key)

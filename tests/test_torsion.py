@@ -45,9 +45,14 @@ from gclose.torsion import (
     s_membership,
     t_membership,
     _STATE_CAP,
+    _CFMachine,
+    _PairMachine,
+    _cf_pairing,
     _chain,
-    _GeoMachine,
+    _expansion,
     _geometric_cycle,
+    _orbit,
+    _orbit_verdict,
     _run_cycle,
     _summarize_cycle,
 )
@@ -297,16 +302,237 @@ def test_large_stride_and_offset_are_jumped_not_stepped():
         assert v.status == "exact" and v.member is expected, (base, stride, offset, q)
     v = t_membership(Subsequence(Constant((1,)), 1, 10**12), CirclePoint.rational(1, 3))
     assert v.status == "exact" and v.member is False
+    # a stride over a stepped cfden orbit is index arithmetic on its cycle
+    strided_cfden = Subsequence(CFDenominators(GOLDEN), 10**9, 0)
+    for x in (CirclePoint.rational(1, 7), CirclePoint.quadratic(0, 1, 3, 5)):
+        assert t_membership(strided_cfden, x).status == "exact", x
     assert time.perf_counter() - started < 1
 
 
+def test_factorial_absorption_search_stops_at_the_cap():
+    # q | m!*c is searched up to the state cap; past it the reason uses m = q
+    started = time.perf_counter()
+    for q in (10000019, 1000000007):
+        v = t_membership(Factorial(), CirclePoint.rational(1, q))
+        assert v.status == "exact" and v.member is True
+        assert v.fact("absorbed_at") == q and v.fact("from_index") == q
+    assert time.perf_counter() - started < 2
+    v = t_membership(Subsequence(Factorial(), 3, 2), CirclePoint.rational(1, 999983))
+    assert v.fact("absorbed_at") == 999983 and v.fact("from_index") == 333327
+
+
+def test_pair_orbit_past_the_cap_falls_back_to_the_scan():
+    # the pair orbit of q_n*sqrt(5)/600043 has more than 10^6 states
+    x = CirclePoint.quadratic(0, 1, 600043, 5)
+    v = t_membership(CFDenominators(GOLDEN), x, Policy(horizon=64))
+    assert v.status == "undecided" and v.horizon == 64
+
+
+# reference automata: one state per term, strides and interleaves stepped
+
+
+class _GeoMachine:
+    # s_n = start * step^n mod q; a constant is step 1
+    def __init__(self, start: int, step: int, q: int):
+        self.s = start % q
+        self.step = step % q
+        self.q = q
+
+    def state(self):
+        return self.s
+
+    def residue(self) -> int:
+        return self.s
+
+    def advance(self):
+        self.s = self.s * self.step % self.q
+
+
+class _FactMachine:
+    # r_n = n! * c mod q; the next multiplier is (n+1) mod q
+    def __init__(self, c: int, q: int):
+        self.r = c % q
+        self.m = 0
+        self.q = q
+
+    def state(self):
+        return (self.r, self.m)
+
+    def residue(self) -> int:
+        return self.r
+
+    def advance(self):
+        self.m = (self.m + 1) % self.q
+        self.r = self.r * self.m % self.q
+
+
+class _StrideMachine:
+    def __init__(self, parent, stride: int, offset: int):
+        self.parent = parent
+        self.stride = stride
+        for _ in range(offset):
+            parent.advance()
+
+    def state(self):
+        return self.parent.state()
+
+    def residue(self) -> int:
+        return self.parent.residue()
+
+    def advance(self):
+        for _ in range(self.stride):
+            self.parent.advance()
+
+
+class _InterleaveMachine:
+    def __init__(self, children, blocks):
+        self.children = children
+        self.blocks = blocks
+        self.cycle = sum(blocks)
+        self.slot = 0
+
+    def _active(self) -> int:
+        r = self.slot
+        for j, b in enumerate(self.blocks):
+            if r < b:
+                return j
+            r -= b
+        raise AssertionError("unreachable")
+
+    def state(self):
+        return (self.slot, tuple(c.state() for c in self.children))
+
+    def residue(self) -> int:
+        return self.children[self._active()].residue()
+
+    def advance(self):
+        self.children[self._active()].advance()
+        self.slot = (self.slot + 1) % self.cycle
+
+
+def _reference_machine(u, w, q):
+    """Automaton for n -> <u_n, w> mod q (cp*p_n + cq*q_n for a cfden leaf
+    with w = (cp, cq)).  A strided geometric leaf is one jumped automaton."""
+    if isinstance(u, Constant):
+        return _GeoMachine(sum(a * b for a, b in zip(u.vector, w)), 1, q)
+    if isinstance(u, Geometric):
+        return _GeoMachine(sum(a * b for a, b in zip(u.pattern, w)), u.base, q)
+    if isinstance(u, Factorial):
+        return _FactMachine(sum(a * b for a, b in zip(u.pattern, w)), q)
+    if isinstance(u, CFDenominators):
+        cf = _expansion(u.alpha)
+        return _CFMachine(cf, w[0], q) if len(w) == 1 else _PairMachine(cf, *w, q)
+    if isinstance(u, Subsequence):
+        inner = _reference_machine(u.parent, w, q)
+        if isinstance(inner, _GeoMachine):
+            return _GeoMachine(
+                inner.s * pow(inner.step, u.offset, q), pow(inner.step, u.stride, q), q
+            )
+        return _StrideMachine(inner, u.stride, u.offset)
+    return _InterleaveMachine([_reference_machine(c, w, q) for c in u.children], u.blocks)
+
+
+def _reference_states(u, w, q) -> int:
+    orbit = _run_cycle(_reference_machine(u, w, q))
+    return orbit.first + orbit.period
+
+
+def _largest_part(u, w, q) -> int:
+    """States of the largest part of u's orbit: the whole, the root under its
+    strides (for a geometric or constant root that is the whole), and every
+    interleave and interleaved child."""
+    root, _, _ = _chain(u)
+    sizes = [_reference_states(u, w, q)]
+    if isinstance(root, Interleave):
+        sizes.append(_reference_states(root, w, q))
+        sizes += [_largest_part(c, w, q) for c in root.children]
+    elif not isinstance(root, (Constant, Geometric)):
+        sizes.append(_reference_states(root, w, q))
+    return max(sizes)
+
+
+CF_ALPHAS = (GOLDEN, SQRT2M1, CirclePoint.quadratic(1, 1, 2, 3))
+
+
+def _orbit_sequence(rng: random.Random, depth: int):
+    kinds = ("geom", "const", "fact", "cfden", "interleave")
+    kind = rng.choice(kinds if depth else kinds[:-1])
+    if kind == "geom":
+        seq = Geometric(rng.randint(2, 12))
+    elif kind == "const":
+        seq = Constant((rng.randint(-3, 3),))
+    elif kind == "fact":
+        seq = Factorial()
+    elif kind == "cfden":
+        seq = CFDenominators(rng.choice(CF_ALPHAS))
+    else:
+        seq = _orbit_interleave(rng, depth - 1)
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        seq = Subsequence(seq, rng.randint(1, 5), rng.randint(0, 6))
+    return seq
+
+
+def _orbit_interleave(rng: random.Random, depth: int):
+    children = tuple(_orbit_sequence(rng, depth) for _ in range(rng.randint(1, 3)))
+    return Interleave(children, tuple(rng.randint(1, 3) for _ in children))
+
+
+def _orbit_cases():
+    """(sequence, point): strided interleaves at rational points, and strided
+    cfden at points of its own quadratic field (pair orbits)."""
+    rng = random.Random(20261026)
+    cases = []
+    for i in range(150):
+        if i % 3 == 0:
+            alpha = rng.choice(CF_ALPHAS)
+            seq = CFDenominators(alpha)
+            for _ in range(rng.randint(1, 2)):
+                seq = Subsequence(seq, rng.randint(1, 5), rng.randint(0, 6))
+            b = rng.choice((-2, -1, 1, 2)) * alpha.surd_coeff
+            x = CirclePoint.quadratic(rng.randint(-9, 9), b, rng.randint(1, 12), alpha.surd)
+        else:
+            seq = Subsequence(_orbit_interleave(rng, 1), rng.randint(1, 4), rng.randint(0, 5))
+            q = rng.randint(2, 40)
+            x = CirclePoint.rational(rng.randrange(1, q), q)
+        cases.append((seq, x))
+    return rng, cases
+
+
+def test_orbit_matches_the_stepping_automata():
+    # the stride and interleave algebra gives the (first, period) and the
+    # residues that stepping every state gives, whenever every part fits
+    rng, cases = _orbit_cases()
+    for u, x in cases:
+        w, q = ((x.num,), x.den) if x.is_rational else _cf_pairing(_chain(u)[0].alpha, x)
+        largest = _largest_part(u, w, q)
+        reference = _run_cycle(_reference_machine(u, w, q))
+        first, period = reference.first, reference.period
+        residues = [reference.at(n) for n in range(first + period)]
+        summary = _summarize_cycle(reference, q)
+        caps = rng.sample(range(1, 81), 10) if rng.random() < 0.8 else range(1, 81)
+        for cap in [*caps, _STATE_CAP]:
+            got = _orbit(u, w, q, cap)
+            if largest > cap:
+                assert got is None, (u.describe(), x, cap)
+                continue
+            assert (got.first, got.period) == (first, period), (u.describe(), x, cap)
+            assert [got.at(n) for n in range(first + period)] == residues
+            assert _summarize_cycle(got, q) == summary
+        v = t_membership(u, x)
+        if not x.is_rational:
+            assert v.is_exact and v.fact("period") == period and v.fact("modulus") == q
+        elif isinstance(_chain(u)[0], (Interleave, CFDenominators)):
+            # fact, geom and const roots take their closed forms instead
+            best, _, idx = summary
+            assert v == _orbit_verdict(q, first, period, best, idx), (u.describe(), x)
+
+
 def _automaton_cycle(start, step, q, cap):
-    run = _run_cycle(_GeoMachine(start, step, q), cap)
-    if run is None:
+    orbit = _run_cycle(_GeoMachine(start, step, q), cap)
+    if orbit is None:
         return None
-    residues, first, period = run
-    best, _, index = _summarize_cycle(residues, first, period, q)
-    return first, period, best, index
+    best, _, index = _summarize_cycle(orbit, q)
+    return orbit.first, orbit.period, best, index
 
 
 def _geometric_cycle_cases():
