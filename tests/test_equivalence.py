@@ -38,6 +38,13 @@ diff line by line.
   children are ``geom``, ``const``, ``fact``, ``cfden`` and further
   interleaves.  The last cases are orbits of about 10^6 states, just inside
   and just past the state cap.
+* ``scan_verdicts.txt``: ``_scan`` and ``_finite_scan`` verdicts (status,
+  horizon, worst bound, reason, facts and the 16-entry trace) for ``fact``
+  and ``geom`` (bases 2-12) with vector patterns, negative coefficients and
+  strides over one to three surd bases; ``cfden`` at alpha, alpha/2 and
+  other points of alpha's field, whose values crowd integers and 1/2; and
+  ``Explicit`` lists of small vectors and convergent denominators, some
+  ending in zero terms.  Tolerances 2^-8, 2^-40 and 1/3, horizons 1-600.
 """
 
 import hashlib
@@ -70,10 +77,14 @@ from gclose.duality import (
 from gclose.torsion import (
     CFDenominators,
     Constant,
+    Explicit,
     Factorial,
     Geometric,
     Interleave,
+    Policy,
     Subsequence,
+    _finite_scan,
+    _scan,
     s_membership,
     t_membership,
 )
@@ -528,6 +539,99 @@ def render_strided_orbits() -> str:
     return "\n".join(lines) + "\n"
 
 
+SCAN_TOLERANCES = (Fraction(1, 2**8), Fraction(1, 2**40), Fraction(1, 3))
+
+
+def _scan_coordinates(rng: random.Random, k: int) -> tuple[CirclePoint, ...]:
+    """k coordinates over one to three distinct surd bases, some rational."""
+    bases = rng.sample(SURD_SUM_BASES, rng.randint(1, 3))
+    x = [
+        CirclePoint.rational(rng.randint(-20, 20), rng.randint(1, 30))
+        if rng.random() < 0.2
+        else CirclePoint.quadratic(
+            rng.randint(-9, 9), rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 12),
+            rng.choice(bases),
+        )
+        for _ in range(k)
+    ]
+    if all(p.is_rational for p in x):
+        x[0] = CirclePoint.quadratic(1, 1, 2, bases[0])
+    return tuple(x)
+
+
+def _scan_case(rng: random.Random, kind: str):
+    """(sequence, points, horizon): a fact or geom scan with a pattern, a
+    stride or both; a cfden scan at alpha, alpha/2 (many values near 1/2)
+    or a point of alpha's field; or an explicit list of small vectors and
+    convergent denominators, sometimes ending in zero terms."""
+    r = rng.random()
+    h = rng.randint(1, 16) if r < 0.25 else rng.randint(17, 200) if r < 0.85 else rng.randint(201, 600)
+    if kind in ("fact", "geom"):
+        k = rng.randint(1, 3)
+        x = _scan_coordinates(rng, k)
+        pattern = tuple(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)) for _ in range(k))
+        seq = Factorial(pattern) if kind == "fact" else Geometric(rng.randint(2, 12), pattern)
+        if rng.random() < 0.3 and h <= 200:
+            seq = Subsequence(seq, rng.randint(1, 3), rng.randint(0, 5))
+        return seq, x, h
+    if kind == "cfden":
+        alpha = rng.choice(CF_POINTS)
+        m = rng.choice((1, 1, -1, 2, 3))
+        x = rng.choice((
+            alpha,
+            CirclePoint.quadratic(alpha.num, alpha.surd_coeff, 2 * alpha.den, alpha.surd),
+            CirclePoint.quadratic(
+                m * alpha.num * 7 + rng.randint(0, 6) * alpha.den, m * alpha.surd_coeff * 7,
+                7 * alpha.den, alpha.surd,
+            ),
+        ))
+        seq = CFDenominators(alpha)
+        if rng.random() < 0.3:
+            seq = Subsequence(seq, rng.randint(1, 3), rng.randint(0, 5))
+        return seq, (x,), min(h, 300)
+    k = rng.randint(1, 3)
+    x = _scan_coordinates(rng, k)
+    n = min(h, 120)
+    share = rng.choice((0.0, 0.5, 1.0))  # of terms that are convergent denominators of x_0
+    qs = convergent_denominators(cf_expand(x[0]), n + 2) if not x[0].is_rational else [1] * (n + 2)
+    terms = [
+        (qs[i + 2],) + (0,) * (k - 1)
+        if rng.random() < share
+        else tuple(rng.randint(-9, 9) for _ in range(k))
+        for i in range(n)
+    ]
+    if rng.random() < 0.3:
+        z = rng.randint(1, n)
+        terms[n - z:] = [(0,) * k] * z
+    seq = Explicit(tuple(terms))
+    if rng.random() < 0.15:
+        seq = Subsequence(seq, rng.randint(1, 3), rng.randint(0, n + 2))
+    return seq, x, None
+
+
+def render_scan_verdicts() -> str:
+    rng = random.Random(20261026)
+    lines = []
+    kinds = ("fact", "geom", "cfden", "explicit")
+    while len(lines) < 200:
+        kind = kinds[len(lines) % len(kinds)]
+        seq, x, h = _scan_case(rng, kind)
+        tol = rng.choice(SCAN_TOLERANCES)
+        if h is None:
+            v = _finite_scan(seq, x, Policy(tolerance=tol))
+        else:
+            v = _scan(seq, x, Policy(horizon=h, tolerance=tol))
+        trace = " ".join(f"{i}:{upper}" for i, upper in v.trace)
+        lines.append(
+            f"{_fit(str(seq))} @ {','.join(map(str, x))} h={h} tol={tol}: "
+            f"{v.status} {v.member} horizon={v.horizon} worst={_fit(str(v.worst_bound))} | "
+            f"{_fit(v.reason)} | "
+            + " ".join(f"{key}={_fit(str(value))}" for key, value in v.detail)
+            + f" | trace {_fit(trace)}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _recorded(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
@@ -556,6 +660,10 @@ def test_strided_orbits_match_recording():
     assert render_strided_orbits() == _recorded("strided_orbits.txt")
 
 
+def test_scan_verdicts_match_recording():
+    assert render_scan_verdicts() == _recorded("scan_verdicts.txt")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py record")
@@ -566,3 +674,4 @@ if __name__ == "__main__":
     (GOLDEN_DIR / "surd_numerics.txt").write_text(render_surd_numerics(), encoding="utf-8")
     (GOLDEN_DIR / "geometric_cycles.txt").write_text(render_geometric_cycles(), encoding="utf-8")
     (GOLDEN_DIR / "strided_orbits.txt").write_text(render_strided_orbits(), encoding="utf-8")
+    (GOLDEN_DIR / "scan_verdicts.txt").write_text(render_scan_verdicts(), encoding="utf-8")
