@@ -232,7 +232,7 @@ def norm(x: CirclePoint, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
     Exact for rational points.  For quadratic points the result is an
     interval of width <= tol, refinable by calling again with a smaller tol.
     """
-    return SurdSum.from_point(x)._unit_norm_enclosure(tol)
+    return SurdSum.from_point(x).norm_enclosure(tol)
 
 
 def _surd_terms(parts: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -301,21 +301,35 @@ class SurdSum:
     def is_integer(self) -> bool:
         return not self.terms and self.num % self.den == 0
 
-    def _bounds(self, tol) -> tuple[int, int, int]:
+    def _bounds(self, tol, roots=None) -> tuple[int, int, int]:
         """(lo, hi, scale) with lo/scale < value < hi/scale for an irrational
         sum, hi - lo <= tol * scale.  Each term b*sqrt(d)/den is bracketed
-        to within tol/len(terms) by one integer square root at dyadic
-        precision 2^-k, k = max(1, bit_length(q) + 1) for
-        q = floor(len(terms)*|b| / (den*tol)); scale is den * 2^(largest k)."""
+        to within tol/len(terms) by isqrt(d << 2k) at dyadic precision 2^-k,
+        k = max(1, bit_length(q) + 1) for q = floor(len(terms)*|b| / (den*tol));
+        scale is den * 2^(largest k).
+
+        ``roots`` maps a base d to (K, isqrt(d << 2K)) and is filled in as
+        it goes.  A term with k <= K reads its root as isqrt(d << 2K) >> (K - k),
+        which equals isqrt(d << 2k) because floor(floor(y)/m) = floor(y/m);
+        a term past K takes a new root at max(k, 2K).  A caller that passes
+        one table for a run of growing terms takes about log2(largest k)
+        roots per base instead of one per term, with the same endpoints."""
         tn, td = tol.numerator, tol.denominator
         if tn <= 0:
             raise CircleError("tolerance must be positive")
+        if roots is None:
+            roots = {}
         span = td * len(self.terms)
         per_term = []
         for d, b in self.terms:
             k = max(1, (span * abs(b) // (tn * self.den)).bit_length() + 1)
-            root = isqrt(d << (2 * k))
-            per_term.append((k, b * root, b * (root + 1)))
+            K, R = roots.get(d, (0, 0))
+            if K < k:
+                K = max(k, 2 * K)
+                R = isqrt(d << (2 * K))
+                roots[d] = K, R
+            low = b * (R >> (K - k))
+            per_term.append((k, low, low + b))
         top = max(k for k, _, _ in per_term)
         lo = hi = self.num << top
         for k, low, high in per_term:
@@ -372,29 +386,46 @@ class SurdSum:
         """Sign of (||value mod 1|| - fr).  Exact."""
         return self.mod1()._unit_norm_cmp(fr)
 
-    def norm_enclosure(self, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
+    def norm_bracket(self, tol: Fraction, roots=None) -> tuple[int, int, int]:
+        """(lo, hi, scale) with lo/scale <= ||value mod 1|| <= hi/scale:
+        lo == hi for a rational sum, else hi - lo <= tol * scale.
+
+        The bracket is ``_bounds`` shifted by the floor, and reflected when
+        value mod 1 > 1/2.  Both the floor and that test are read off the
+        bracket; only a bracket that straddles an integer, or 1/2 after the
+        shift, falls back to the exact ``floor`` or ``sign``.  ``roots`` is
+        the root table of ``_bounds``, shared by the terms of one scan."""
         if not self.terms:
             r = self.num % self.den
-            return Enclosure.point(Fraction(min(r, self.den - r), self.den))
-        return self.mod1()._unit_norm_enclosure(tol)
+            r = min(r, self.den - r)
+            return r, r, self.den
+        lo, hi, scale = self._bounds(tol, roots)
+        # scale = den << k: shift first, so no long division by scale
+        k = scale.bit_length() - self.den.bit_length()
+        f = (lo >> k) // self.den
+        if f != ((hi - 1) >> k) // self.den:
+            f = self.floor()
+        shift = (f * self.den) << k
+        lo -= shift
+        hi -= shift
+        if 2 * lo >= scale or (2 * hi > scale and self._plus(-2 * f - 1, 2).sign() > 0):
+            lo, hi = scale - hi, scale - lo
+        return max(0, lo), min(hi, scale >> 1), scale
 
-    # The _unit_ forms take a value already in [0, 1), such as a CirclePoint,
-    # and skip the floor that mod1() takes.
+    def norm_enclosure(self, tol: Fraction = DEFAULT_TOLERANCE) -> Enclosure:
+        lo, hi, scale = self.norm_bracket(tol)
+        if lo == hi:
+            return Enclosure.point(Fraction(lo, scale))
+        return Enclosure(Fraction(lo, scale), Fraction(hi, scale), False)
+
+    # _unit_norm_cmp takes a value already in [0, 1), such as a CirclePoint,
+    # and skips the floor that mod1() takes.
 
     def _unit_norm_cmp(self, fr: Fraction) -> int:
         p, q = fr.numerator, fr.denominator
         if self._plus(-1, 2).sign() <= 0:
             return self._plus(-p, q).sign()
         return -self._plus(p - q, q).sign()
-
-    def _unit_norm_enclosure(self, tol: Fraction) -> Enclosure:
-        if not self.terms:
-            return Enclosure.point(Fraction(min(self.num, self.den - self.num), self.den))
-        lo, hi, scale = self._bounds(tol)
-        if self._plus(-1, 2).sign() > 0:
-            lo, hi = scale - hi, scale - lo
-        half = scale >> 1  # exact: _bounds works at dyadic precision k >= 1
-        return Enclosure(Fraction(max(0, lo), scale), Fraction(min(hi, half), scale), False)
 
 
 def pair(term: tuple[int, ...], points: tuple[CirclePoint, ...]) -> SurdSum:

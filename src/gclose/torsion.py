@@ -37,7 +37,8 @@ index, term, envelope and threshold with n, u_n, 2^-n and delta.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections import deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -712,30 +713,47 @@ def _orbit_verdict(q: int, first: int, period: int, best: int, idx: int) -> Verd
 # the decision ladder
 
 
-def _tail_scan(uppers: list[Fraction], horizon: int, tol: Fraction) -> Verdict:
-    n = len(uppers)
-    t = n
-    while t > 0 and uppers[t - 1] <= tol:
-        t -= 1
-    window = min(16, n)
-    trace = tuple((i, uppers[i]) for i in range(max(0, n - 16), n))
-    if n - t >= window:
-        worst = max(uppers[t:]) if t < n else Fraction(0)
+def _upper(bracket: tuple[int, int, int]) -> Fraction:
+    """The reported upper bound of a norm bracket (lo, hi, scale)."""
+    _, hi, scale = bracket
+    return Fraction(hi, scale)
+
+
+def _tail_scan(
+    brackets: Iterable[tuple[int, int, int]], horizon: int, tol: Fraction
+) -> Verdict:
+    """Verdict on the norm brackets (lo, hi, scale) of terms 0, 1, ..., read
+    as they stream in.  The tail follows the last term whose upper bound
+    hi/scale exceeds tol, tested in integers as hi*tol.den > tol.num*scale;
+    Fractions are built only for the 16-entry trace and the reported bound."""
+    tn, td = tol.numerator, tol.denominator
+    last = deque(maxlen=16)
+    bad = worst = None
+    n = 0
+    for n, b in enumerate(brackets, 1):
+        last.append((n - 1, b))
+        if b[1] * td > tn * b[2]:
+            bad, worst = (n - 1, b), None
+        elif worst is None or b[1] * worst[2] > worst[1] * b[2]:
+            worst = b
+    t = 0 if bad is None else bad[0] + 1
+    trace = tuple((i, _upper(b)) for i, b in last)
+    if n - t >= min(16, n):
         return Verdict.certified(
             horizon,
-            worst,
+            _upper(worst),
             trace,
             f"all pairing norms <= {tol} from index {t} up to horizon {horizon}",
             tail_start=t,
         )
-    bad = max(i for i in range(n) if uppers[i] > tol)
+    i, upper = bad[0], _upper(bad[1])
     return Verdict.undecided(
-        f"pairing norm {uppers[bad]} exceeds tolerance {tol} at index {bad} "
+        f"pairing norm {upper} exceeds tolerance {tol} at index {i} "
         f"(horizon {horizon})",
         horizon=horizon,
-        worst=uppers[bad],
+        worst=upper,
         trace=trace,
-        offending_index=bad,
+        offending_index=i,
     )
 
 
@@ -747,10 +765,8 @@ def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Ve
             from_index=0,
             sequence_horizon=0,
         )
-    values = [pair(u.term(n), x) for n in range(h)]
-    integral = [v.is_integer() for v in values]
     t = h
-    while t > 0 and integral[t - 1]:
+    while t > 0 and pair(u.term(t - 1), x).is_integer():
         t -= 1
     if t < h:
         return Verdict.exact_in(
@@ -759,17 +775,15 @@ def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Ve
             from_index=t,
             sequence_horizon=h,
         )
-    uppers = [v.norm_enclosure(policy.tolerance / 4).upper for v in values]
-    return _tail_scan(uppers, h, policy.tolerance)
+    return _scan(u, x, Policy(h, policy.tolerance))
 
 
 def _scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
-    n = policy.horizon
-    uppers = [
-        pair(u.term(i), x).norm_enclosure(policy.tolerance / 4).upper
-        for i in range(n)
-    ]
-    return _tail_scan(uppers, n, policy.tolerance)
+    """Stream the norm brackets of the first policy.horizon pairings, at
+    tolerance/4, through one root table."""
+    n, tol, roots = policy.horizon, policy.tolerance / 4, {}
+    brackets = (pair(u.term(i), x).norm_bracket(tol, roots) for i in range(n))
+    return _tail_scan(brackets, n, policy.tolerance)
 
 
 def _chain(u: IntVecSeq) -> tuple[IntVecSeq, int, int]:

@@ -6,6 +6,7 @@ on r -> base*r mod q, factorial membership by q | n!, continued-fraction
 residues by the convergent recurrence mod q.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclose import circle
 from gclose.circle import (
     BoundedExpansionError,
     CirclePoint,
@@ -21,6 +23,7 @@ from gclose.circle import (
     cf_expand,
     convergent_denominators,
     int_mul,
+    pair,
 )
 from gclose.duality import PrecompactTopology
 from gclose.torsion import (
@@ -38,6 +41,7 @@ from gclose.torsion import (
     Policy,
     Subsequence,
     TorsionError,
+    Verdict,
     eval_seq,
     null_sequence,
     rational_torsion_profile,
@@ -54,6 +58,7 @@ from gclose.torsion import (
     _orbit,
     _orbit_verdict,
     _run_cycle,
+    _scan,
     _summarize_cycle,
 )
 
@@ -326,6 +331,139 @@ def test_pair_orbit_past_the_cap_falls_back_to_the_scan():
     x = CirclePoint.quadratic(0, 1, 600043, 5)
     v = t_membership(CFDenominators(GOLDEN), x, Policy(horizon=64))
     assert v.status == "undecided" and v.horizon == 64
+
+
+# scans: streamed integer brackets against a per-term reference ----------------
+
+
+def reference_norm_bracket(s: SurdSum, tol: Fraction) -> tuple[int, int, int]:
+    """(lo, hi, scale) of ||s mod 1||, one term at a time: the exact floor,
+    a fresh isqrt(d << 2k) per base at the precision the enclosure rule
+    picks, k = max(1, bit_length(len*|b| // (den*tol)) + 1), and the exact
+    test of s mod 1 > 1/2."""
+    if s.is_rational():
+        r = s.num % s.den
+        r = min(r, s.den - r)
+        return r, r, s.den
+    m = s.mod1()
+    tn, td = tol.numerator, tol.denominator
+    parts = []
+    for d, b in m.terms:
+        k = max(1, (td * len(m.terms) * abs(b) // (tn * m.den)).bit_length() + 1)
+        root = math.isqrt(d << (2 * k))
+        parts.append((k, *sorted((b * root, b * (root + 1)))))
+    top = max(k for k, _, _ in parts)
+    lo = (m.num << top) + sum(low << (top - k) for k, low, _ in parts)
+    hi = (m.num << top) + sum(high << (top - k) for k, _, high in parts)
+    scale = m.den << top
+    if m.cmp(Fraction(1, 2)) > 0:
+        lo, hi = scale - hi, scale - lo
+    return max(0, lo), min(hi, scale // 2), scale
+
+
+def reference_scan(u, x, policy: Policy) -> Verdict:
+    """The scan verdict from every term's reference upper bound as a Fraction."""
+    tol, n = policy.tolerance, policy.horizon
+    uppers = []
+    for i in range(n):
+        _, hi, scale = reference_norm_bracket(pair(u.term(i), x), tol / 4)
+        uppers.append(Fraction(hi, scale))
+    t = n
+    while t > 0 and uppers[t - 1] <= tol:
+        t -= 1
+    trace = tuple((i, uppers[i]) for i in range(max(0, n - 16), n))
+    if n - t >= min(16, n):
+        return Verdict.certified(
+            n, max(uppers[t:]), trace,
+            f"all pairing norms <= {tol} from index {t} up to horizon {n}", tail_start=t,
+        )
+    return Verdict.undecided(
+        f"pairing norm {uppers[t - 1]} exceeds tolerance {tol} at index {t - 1} (horizon {n})",
+        horizon=n, worst=uppers[t - 1], trace=trace, offending_index=t - 1,
+    )
+
+
+def _scan_points(rng: random.Random, k: int) -> tuple[CirclePoint, ...]:
+    bases = rng.sample((2, 3, 5, 6, 7, 13), rng.randint(1, 3))
+    x = [
+        CirclePoint.rational(rng.randint(-9, 9), rng.randint(1, 20))
+        if rng.random() < 0.2
+        else CirclePoint.quadratic(
+            rng.randint(-9, 9), rng.choice((-3, -1, 1, 2)), rng.randint(1, 9), rng.choice(bases)
+        )
+        for _ in range(k)
+    ]
+    return tuple(x)
+
+
+def _reference_scan_case(rng: random.Random):
+    """fact, geom or an explicit list over one to three bases, or cfden at
+    alpha or alpha/2, whose values crowd integers and 1/2."""
+    kind = rng.choice(("fact", "geom", "cfden", "cfden", "list"))
+    h = rng.randint(1, 120)
+    if kind == "cfden":
+        alpha = rng.choice((GOLDEN, SQRT2M1, CirclePoint.quadratic(2, 1, 3, 7)))
+        half = CirclePoint.quadratic(alpha.num, alpha.surd_coeff, 2 * alpha.den, alpha.surd)
+        return CFDenominators(alpha), (rng.choice((alpha, half)),), h
+    k = rng.randint(1, 3)
+    x = _scan_points(rng, k)
+    pattern = tuple(rng.choice((-3, -1, 1, 2, 4)) for _ in range(k))
+    if kind == "fact":
+        seq = Factorial(pattern)
+    elif kind == "geom":
+        seq = Geometric(rng.randint(2, 12), pattern)
+    else:
+        seq = Explicit(tuple(tuple(rng.randint(-99, 99) for _ in range(k)) for _ in range(h)))
+    if kind != "list" and rng.random() < 0.3:
+        seq = Subsequence(seq, rng.randint(1, 3), rng.randint(0, 5))
+    return seq, x, h
+
+
+def test_scan_brackets_match_the_per_term_reference():
+    """One root table per scan gives every term the bracket that the exact
+    floor, a fresh root and the exact 1/2 test give, and the same verdict;
+    coarse tolerances make brackets straddle integers and 1/2 often."""
+    rng = random.Random(20261027)
+    straddles = {0: 0, Fraction(1, 2): 0}  # brackets across an integer, across 1/2 mod 1
+    for _ in range(80):
+        seq, x, h = _reference_scan_case(rng)
+        tol = Fraction(1, rng.choice((3, 2**4, 2**8, 2**20, 2**40)))
+        roots = {}
+        for i in range(h):
+            value = pair(seq.term(i), x)
+            assert value.norm_bracket(tol / 4, roots) == reference_norm_bracket(value, tol / 4), (
+                seq, x, i,
+            )
+            if value.terms:
+                enc = value.enclosure(tol / 4)
+                for shift in straddles:
+                    straddles[shift] += math.floor(enc.lower + shift) != math.floor(enc.upper + shift)
+        policy = Policy(horizon=h, tolerance=tol)
+        assert _scan(seq, x, policy) == reference_scan(seq, x, policy), (seq, x, h)
+    assert min(straddles.values()) >= 100, straddles
+
+
+def test_scan_takes_a_root_per_doubling_not_per_term(monkeypatch):
+    """A 512-term fact scan at an irrational point takes about log2(k_max)
+    integer square roots per surd base, not two per term, and no root
+    table outlives its scan."""
+    calls = []
+
+    def counting_isqrt(n):
+        calls.append(n)
+        return math.isqrt(n)
+
+    monkeypatch.setattr(circle, "isqrt", counting_isqrt)
+    x = CirclePoint.quadratic(-2, 1, 3, 7)
+    for _ in range(2):
+        calls.clear()
+        assert t_membership(Factorial(), x).status == "undecided"
+        # 511! has 3900 bits, so k_max < 2^13 and K_max < 2^14
+        assert len(calls) <= 14, len(calls)
+    two_bases = (CirclePoint.quadratic(1, 1, 3, 2), CirclePoint.quadratic(1, 2, 5, 3))
+    calls.clear()
+    assert s_membership(Factorial((1, 1)), two_bases).status == "undecided"
+    assert len(calls) <= 2 * 14, len(calls)
 
 
 # reference automata: one state per term, strides and interleaves stepped
