@@ -713,10 +713,16 @@ def _orbit_verdict(q: int, first: int, period: int, best: int, idx: int) -> Verd
 # the decision ladder
 
 
-def _upper(bracket: tuple[int, int, int]) -> Fraction:
-    """The reported upper bound of a norm bracket (lo, hi, scale)."""
-    _, hi, scale = bracket
-    return Fraction(hi, scale)
+def _upper(bracket: tuple[int, int, int], tol: Fraction) -> Fraction:
+    """The reported upper bound of a norm bracket (lo, hi, scale): an exact
+    norm as it is, an inexact one rounded up to a multiple of tol/8.  The
+    report stays short and sound: tol is on the grid, so a bound <= tol
+    stays <= tol and one > tol stays > tol."""
+    lo, hi, scale = bracket
+    if lo == hi:
+        return Fraction(hi, scale)
+    tn, grid = tol.numerator, 8 * tol.denominator
+    return Fraction(-(-hi * grid // (scale * tn)) * tn, grid)
 
 
 def _tail_scan(
@@ -724,8 +730,9 @@ def _tail_scan(
 ) -> Verdict:
     """Verdict on the norm brackets (lo, hi, scale) of terms 0, 1, ..., read
     as they stream in.  The tail follows the last term whose upper bound
-    hi/scale exceeds tol, tested in integers as hi*tol.den > tol.num*scale;
-    Fractions are built only for the 16-entry trace and the reported bound."""
+    hi/scale exceeds tol, tested in integers as hi*tol.den > tol.num*scale.
+    Only reported bounds become Fractions, by ``_upper``: the tail's worst,
+    the 16-entry trace and the offending term."""
     tn, td = tol.numerator, tol.denominator
     last = deque(maxlen=16)
     bad = worst = None
@@ -734,19 +741,20 @@ def _tail_scan(
         last.append((n - 1, b))
         if b[1] * td > tn * b[2]:
             bad, worst = (n - 1, b), None
-        elif worst is None or b[1] * worst[2] > worst[1] * b[2]:
-            worst = b
+        else:
+            upper = _upper(b, tol)
+            worst = upper if worst is None else max(worst, upper)
     t = 0 if bad is None else bad[0] + 1
-    trace = tuple((i, _upper(b)) for i, b in last)
+    trace = tuple((i, _upper(b, tol)) for i, b in last)
     if n - t >= min(16, n):
         return Verdict.certified(
             horizon,
-            _upper(worst),
+            worst,
             trace,
             f"all pairing norms <= {tol} from index {t} up to horizon {horizon}",
             tail_start=t,
         )
-    i, upper = bad[0], _upper(bad[1])
+    i, upper = bad[0], _upper(bad[1], tol)
     return Verdict.undecided(
         f"pairing norm {upper} exceeds tolerance {tol} at index {i} "
         f"(horizon {horizon})",

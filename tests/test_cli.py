@@ -444,6 +444,20 @@ def test_main_exit_two_for_inconclusive(capsys):
     assert code == 2
 
 
+def test_long_irrational_scan_reports_a_short_bound(capsys):
+    # the 2048th term is near 2047! * sqrt(7)/3; its bound is reported on the
+    # tol/8 grid, not as a Fraction of about 6000 digits
+    started = time.perf_counter()
+    code = main(
+        ["tmem", "--seq", "fact", "--point", "quad:(-2+1*sqrt(7))/3", "--horizon", "2048"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    reason = next(line for line in out.splitlines() if line.startswith("Undecided:"))
+    assert "at index 2047 (horizon 2048)" in reason and len(reason) < 120
+    assert time.perf_counter() - started < 60
+
+
 def test_main_json_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code = main(

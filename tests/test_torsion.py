@@ -362,12 +362,14 @@ def reference_norm_bracket(s: SurdSum, tol: Fraction) -> tuple[int, int, int]:
 
 
 def reference_scan(u, x, policy: Policy) -> Verdict:
-    """The scan verdict from every term's reference upper bound as a Fraction."""
+    """The scan verdict from every term's reference upper bound as a
+    Fraction, an inexact one rounded up to a multiple of tol/8."""
     tol, n = policy.tolerance, policy.horizon
     uppers = []
     for i in range(n):
-        _, hi, scale = reference_norm_bracket(pair(u.term(i), x), tol / 4)
-        uppers.append(Fraction(hi, scale))
+        lo, hi, scale = reference_norm_bracket(pair(u.term(i), x), tol / 4)
+        upper = Fraction(hi, scale)
+        uppers.append(upper if lo == hi else math.ceil(upper / (tol / 8)) * (tol / 8))
     t = n
     while t > 0 and uppers[t - 1] <= tol:
         t -= 1
