@@ -84,6 +84,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "MAX_RADICAND",
     "MAX_SEQ_DEPTH",
+    "MAX_HORIZON",
 ]
 
 SCHEMA_VERSION = "1"
@@ -109,6 +110,10 @@ MAX_RADICAND = 10**12
 
 # Most sub(...) and interleave(...) forms a sequence literal may nest.
 MAX_SEQ_DEPTH = 64
+
+# Largest --horizon / GCLOSE_HORIZON: a scan of n! at an irrational point
+# takes about 4 s at this bound, and the terms' bit length grows as n log n.
+MAX_HORIZON = 4096
 
 
 def _int(text: str, pos: int, what: str) -> int:
@@ -546,6 +551,8 @@ def _resolve_config(policy: dict) -> tuple[Policy, Budget, dict]:
         return default, "default"
 
     horizon, hsrc = pick("horizon", "GCLOSE_HORIZON", int, 512)
+    if horizon > MAX_HORIZON:
+        raise CliError(f"horizon {horizon} exceeds {MAX_HORIZON}")
     tolerance, tsrc = pick(
         "tolerance", "GCLOSE_TOLERANCE", parse_fraction, Fraction(1, 2**20)
     )

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from gclose import cli
 from gclose.circle import CirclePoint
 from gclose.cli import (
+    MAX_HORIZON,
     MAX_RADICAND,
     MAX_SEQ_DEPTH,
     CliError,
@@ -388,6 +389,19 @@ def test_default_config_echoed():
     assert report.config["horizon"] == "512"
     assert report.config["tolerance"] == "1/1048576"
     assert report.config["budget"] == "48,512"
+
+
+def test_horizon_above_bound_is_an_error(monkeypatch, capsys):
+    argv = ["tmem", "--seq", "fact", "--point", "quad:(0+1*sqrt(2))/2"]
+    started = time.perf_counter()
+    assert main(argv + ["--horizon", "100000000"]) == 1
+    assert capsys.readouterr().err == f"gclose: error: horizon 100000000 exceeds {MAX_HORIZON}\n"
+    monkeypatch.setenv("GCLOSE_HORIZON", str(MAX_HORIZON + 1))
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"gclose: error: horizon {MAX_HORIZON + 1} exceeds {MAX_HORIZON}\n"
+    assert time.perf_counter() - started < 1
+    report, _ = run(Command("tmem", {"seq": "geom:2", "point": "1/3"}, {"horizon": str(MAX_HORIZON)}))
+    assert MAX_HORIZON == 4096 and report.config["horizon"] == "4096"
 
 
 def test_bad_env_is_an_error(monkeypatch):
