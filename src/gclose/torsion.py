@@ -37,7 +37,7 @@ index, term, envelope and threshold with n, u_n, 2^-n and delta.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,23 +165,29 @@ class Factorial(IntVecSeq):
         return f"fact*({','.join(map(str, self.pattern))})"
 
 
-_CF_CACHE: dict[CirclePoint, CFExpansion] = {}
-_QDEN_CACHE: dict[CirclePoint, list[int]] = {}
+# Continued fraction and convergent denominators q_0, q_1, ... of the
+# _CF_CACHE_SIZE points used most recently, least recent first.
+_CF_CACHE_SIZE = 256
+_CF_CACHE: OrderedDict[CirclePoint, tuple[CFExpansion, list[int]]] = OrderedDict()
+
+
+def _cf_entry(alpha: CirclePoint) -> tuple[CFExpansion, list[int]]:
+    entry = _CF_CACHE.get(alpha)
+    if entry is not None:
+        _CF_CACHE.move_to_end(alpha)
+        return entry
+    entry = _CF_CACHE[alpha] = cf_expand(alpha), [1]  # q_0 = 1 regardless of the expansion
+    if len(_CF_CACHE) > _CF_CACHE_SIZE:
+        _CF_CACHE.popitem(last=False)
+    return entry
 
 
 def _expansion(alpha: CirclePoint) -> CFExpansion:
-    cf = _CF_CACHE.get(alpha)
-    if cf is None:
-        cf = cf_expand(alpha)
-        _CF_CACHE[alpha] = cf
-    return cf
+    return _cf_entry(alpha)[0]
 
 
 def _q_denominator(alpha: CirclePoint, n: int) -> int:
-    qs = _QDEN_CACHE.setdefault(alpha, [])
-    if not qs:
-        qs.append(1)  # q_0 = 1 regardless of the expansion
-    cf = _expansion(alpha)
+    cf, qs = _cf_entry(alpha)
     while len(qs) <= n:
         i = len(qs)
         prev = qs[i - 2] if i >= 2 else 0  # q_{-1} = 0

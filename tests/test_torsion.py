@@ -48,6 +48,8 @@ from gclose.torsion import (
     recheck_null_certificate,
     s_membership,
     t_membership,
+    _CF_CACHE,
+    _CF_CACHE_SIZE,
     _STATE_CAP,
     _CFMachine,
     _PairMachine,
@@ -57,6 +59,7 @@ from gclose.torsion import (
     _geometric_cycle,
     _orbit,
     _orbit_verdict,
+    _q_denominator,
     _run_cycle,
     _scan,
     _summarize_cycle,
@@ -466,6 +469,17 @@ def test_scan_takes_a_root_per_doubling_not_per_term(monkeypatch):
     calls.clear()
     assert s_membership(Factorial((1, 1)), two_bases).status == "undecided"
     assert len(calls) <= 2 * 14, len(calls)
+
+
+def test_continued_fraction_cache_keeps_the_latest_points():
+    points = [CirclePoint.quadratic(1, 1, c, 2) for c in range(3, 303)]
+    for alpha in points:
+        assert _q_denominator(alpha, 3) == convergent_denominators(cf_expand(alpha), 4)[3]
+    assert len(_CF_CACHE) <= _CF_CACHE_SIZE == 256
+    assert points[0] not in _CF_CACHE and points[-256] in _CF_CACHE
+    _expansion(points[-256])  # a hit makes it the most recent
+    _q_denominator(CirclePoint.quadratic(1, 1, 303, 2), 0)
+    assert points[-256] in _CF_CACHE and points[-255] not in _CF_CACHE
 
 
 # reference automata: one state per term, strides and interleaves stepped
