@@ -745,7 +745,8 @@ def _tail_scan(
     n = 0
     for n, b in enumerate(brackets, 1):
         last.append((n - 1, b))
-        if b[1] * td > tn * b[2]:
+        _, hi, scale = b
+        if hi * td > tn * scale:
             bad, worst = (n - 1, b), None
         else:
             upper = _upper(b, tol)
