@@ -12,6 +12,14 @@ diff line by line.
   ``kernel_basis`` and ``system_solvable``, then ``str(annihilator)``, the
   ``contains`` answers and ``str(closure_in_dual)``.  With no generators only
   the results are recorded, not the systems.
+* ``echelon_systems.txt``: ``kernel_basis`` and ``system_solvable`` on 150
+  seeded integer systems of shapes 0x0 to 16x32 (and 32x16), full rank or
+  a product of a small left factor and a right factor with entries up to
+  1000, rows of the right factor scaled by 2, 3 or 6 so that the column
+  lattice often has index above 1.  The kernel is recorded as the
+  ``row_hnf`` of the returned basis, so any basis of the same lattice
+  renders alike; solvability is recorded for b = m*x, for b = m*x plus a
+  small multiple of a unit vector, and for a random b.
 * ``circle_numerics.txt``: ``enclosure``, ``norm``, ``value_cmp`` and
   ``norm_cmp`` of seeded points, at tolerances from 2^-1 to 2^-80.
 * ``pattern_verdicts.txt``: ``s_membership`` verdicts for irrational points
@@ -71,8 +79,10 @@ from gclose.duality import (
     Character,
     DualSubgroup,
     FgAbelianGroup,
+    IntMatrix,
     annihilator,
     closure_in_dual,
+    row_hnf,
 )
 from gclose.torsion import (
     CFDenominators,
@@ -187,6 +197,61 @@ def render_duality_systems(monkeypatch) -> str:
         for chi in chis:
             emit(f"contains {chi}", h.contains(chi))
         emit("closure", closure_in_dual(h))
+    return "\n".join(lines) + "\n"
+
+
+ECHELON_EDGE_SHAPES = ((0, 0), (0, 5), (5, 0), (16, 32), (32, 16))
+
+
+def _echelon_case(
+    rng: random.Random, shape: tuple[int, int] | None
+) -> tuple[IntMatrix, list[tuple[str, tuple[int, ...]]]]:
+    """A seeded integer system and the right-hand sides to test on it."""
+    rows, cols = shape or (rng.randint(0, 16), rng.randint(0, 32))
+    bound = rng.choice((1, 10, 1000))
+    rank = rng.randint(0, min(rows, cols)) if rng.random() < 0.4 else min(rows, cols)
+    # each row of the right factor is a multiple of its own factor, so the
+    # column lattice often has index > 1 and perturbed systems fail
+    factors = [rng.choice((1, 1, 2, 3, 6)) for _ in range(rank)]
+    right = IntMatrix.from_rows(
+        [
+            [f * rng.randint(-bound // f, bound // f) for _ in range(cols)]
+            for f in factors
+        ],
+        cols,
+    )
+    if rank == min(rows, cols) and rank == rows:
+        left = IntMatrix.identity(rows)
+    else:
+        left = IntMatrix.from_rows(
+            [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(rows)], rank
+        )
+    m = left @ right
+    x = [rng.randint(-5, 5) for _ in range(cols)]
+    image = m.apply(x)
+    sides = [("m*x", image)]
+    if rows:
+        k = rng.randrange(rows)
+        bumped = tuple(v + (i == k) * rng.choice((1, 2, 3)) for i, v in enumerate(image))
+        sides.append((f"m*x+e{k}", bumped))
+        sides.append(("random", tuple(rng.randint(-bound, bound) for _ in range(rows))))
+    return m, sides
+
+
+def render_echelon_systems() -> str:
+    rng = random.Random(20261103)
+    lines = []
+    for case in range(150):
+        shape = ECHELON_EDGE_SHAPES[case] if case < len(ECHELON_EDGE_SHAPES) else None
+        m, sides = _echelon_case(rng, shape)
+        digest = hashlib.sha256(str((m, sides)).encode()).hexdigest()[:16]
+        lines.append(f"case {case}: {m.rows}x{m.cols} sha256:{digest}")
+        kernel = row_hnf(IntMatrix.from_rows(duality.kernel_basis(m), m.cols))
+        lines.append(f"  kernel rank {kernel.rows} [{_fit(str(kernel))}]")
+        lines.append(
+            "  solvable "
+            + " ".join(f"{label}={duality.system_solvable(m, b)}" for label, b in sides)
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -640,6 +705,10 @@ def test_duality_systems_match_recording(monkeypatch):
     assert render_duality_systems(monkeypatch) == _recorded("duality_systems.txt")
 
 
+def test_echelon_systems_match_recording():
+    assert render_echelon_systems() == _recorded("echelon_systems.txt")
+
+
 def test_circle_numerics_match_recording():
     assert render_circle_numerics() == _recorded("circle_numerics.txt")
 
@@ -669,6 +738,7 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py record")
     with pytest.MonkeyPatch.context() as mp:
         (GOLDEN_DIR / "duality_systems.txt").write_text(render_duality_systems(mp), encoding="utf-8")
+    (GOLDEN_DIR / "echelon_systems.txt").write_text(render_echelon_systems(), encoding="utf-8")
     (GOLDEN_DIR / "circle_numerics.txt").write_text(render_circle_numerics(), encoding="utf-8")
     (GOLDEN_DIR / "pattern_verdicts.txt").write_text(render_pattern_verdicts(), encoding="utf-8")
     (GOLDEN_DIR / "surd_numerics.txt").write_text(render_surd_numerics(), encoding="utf-8")
