@@ -5,9 +5,10 @@ invariant factors.  Elements are integer coordinate vectors (free coordinates
 first, torsion coordinates read mod their factor).  Characters of A pair a
 CirclePoint per free coordinate with a residue per torsion factor.
 
-Everything runs over exact integer linear algebra: Smith normal form with
-unimodular transforms for kernels and quotient structure, Hermite normal form
-for canonical sublattice bases and membership tests.
+Everything runs over exact integer linear algebra.  The row Hermite normal
+form is the one echelon core: it gives kernels, solvability, canonical
+sublattice bases and membership tests.  Smith normal form is kept only where
+invariant factors are read: group presentations and closures.
 """
 
 from __future__ import annotations
@@ -273,28 +274,19 @@ def _rowspan_contains(hnf: IntMatrix, vec: tuple[int, ...]) -> bool:
 
 
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel {x : m @ x = 0}, via Smith normal form."""
-    u, d, v = smith_normal_form(m)
-    out = []
-    for j in range(m.cols):
-        dj = d.entries[j][j] if j < min(m.rows, m.cols) else 0
-        if dj == 0:
-            out.append(v.column(j))
-    return out
+    """Hermite basis of the integer kernel {x : m @ x = 0}: the rows of
+    row_hnf([m^T | I]) whose m^T part is zero, read in their I part."""
+    stacked = [c + e for c, e in zip(m.columns(), IntMatrix.identity(m.cols).entries)]
+    hnf = row_hnf(IntMatrix.from_rows(stacked, m.rows + m.cols))
+    return [row[m.rows :] for row in hnf.entries if not any(row[: m.rows])]
 
 
 def system_solvable(m: IntMatrix, b: tuple[int, ...] | list[int]) -> bool:
-    """Does m @ x = b admit an integer solution?"""
-    u, d, v = smith_normal_form(m)
-    c = u.apply(tuple(b))
-    for i in range(m.rows):
-        di = d.entries[i][i] if i < min(m.rows, m.cols) else 0
-        if di == 0:
-            if c[i] != 0:
-                return False
-        elif c[i] % di:
-            return False
-    return True
+    """Does m @ x = b admit an integer solution?  That is, does b lie in the
+    column lattice of m, the row lattice of m^T?"""
+    if len(b) != m.rows:
+        raise DualityError("vector length mismatch")
+    return _rowspan_contains(row_hnf(m.transpose()), tuple(b))
 
 
 @dataclass(frozen=True)

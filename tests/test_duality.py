@@ -5,6 +5,7 @@ all entries = 2, d1*d2 = |det| = 8.  Annihilator and closure examples are
 frozen from hand computation (cleared-denominator congruences).
 """
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -139,14 +140,78 @@ def test_row_hnf_canonical():
 
 
 def test_kernel_basis():
+    # the row Hermite basis of the kernel lattice, in order
     k = kernel_basis(IntMatrix.from_rows([[1, 2, 3]]))
-    assert sorted(k) == [(-3, 0, 1), (-2, 1, 0)]
+    assert k == [(1, 1, -1), (0, 3, -2)]
 
 
 def test_system_solvable():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert system_solvable(m, (4, 9))
     assert not system_solvable(m, (1, 3))
+
+
+def snf_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
+    """Reference kernel: the columns of V at the zero diagonal entries of
+    the Smith form D = U @ m @ V."""
+    _, d, v = smith_normal_form(m)
+    out = []
+    for j in range(m.cols):
+        dj = d.entries[j][j] if j < min(m.rows, m.cols) else 0
+        if dj == 0:
+            out.append(v.column(j))
+    return out
+
+
+def snf_system_solvable(m: IntMatrix, b: tuple[int, ...]) -> bool:
+    """Reference solvability: U @ b must vanish where D does and be
+    divisible by D's entry elsewhere."""
+    u, d, _ = smith_normal_form(m)
+    c = u.apply(tuple(b))
+    for i in range(m.rows):
+        di = d.entries[i][i] if i < min(m.rows, m.cols) else 0
+        if di == 0:
+            if c[i] != 0:
+                return False
+        elif c[i] % di:
+            return False
+    return True
+
+
+def _seeded_system(rng: random.Random) -> IntMatrix:
+    """0-7 x 0-9, entries up to 1000; four in ten are a product through a
+    narrower middle, so rank-deficient, and one row in three is scaled."""
+    rows, cols = rng.randint(0, 7), rng.randint(0, 9)
+    if rng.random() < 0.4:
+        rank = rng.randint(0, min(rows, cols))
+        left = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)], rank)
+        right = IntMatrix.from_rows([[rng.randint(-150, 150) for _ in range(cols)] for _ in range(rank)], cols)
+        return left @ right
+    scale = [rng.choice((1, 1, 2, 5)) for _ in range(rows)]
+    return IntMatrix.from_rows(
+        [[f * rng.randint(-1000 // f, 1000 // f) for _ in range(cols)] for f in scale], cols
+    )
+
+
+def test_hermite_kernel_and_solvability_match_the_smith_reference():
+    rng = random.Random(20261103)
+    solvable = unsolvable = 0
+    for _ in range(400):
+        m = _seeded_system(rng)
+        k = kernel_basis(m)
+        assert all(len(v) == m.cols and not any(m.apply(v)) for v in k)
+        # the returned basis is canonical: its own row Hermite form
+        assert row_hnf(IntMatrix.from_rows(k, m.cols)).entries == tuple(k)
+        assert tuple(k) == row_hnf(IntMatrix.from_rows(snf_kernel_basis(m), m.cols)).entries
+        image = m.apply([rng.randint(-9, 9) for _ in range(m.cols)])
+        assert system_solvable(m, image)
+        for i in range(m.rows):
+            b = tuple(x + (j == i) * rng.randint(1, 6) for j, x in enumerate(image))
+            answer = system_solvable(m, b)
+            assert answer == snf_system_solvable(m, b)
+            solvable += answer
+            unsolvable += not answer
+    assert solvable > 100 and unsolvable > 100
 
 
 # groups and presentations ----------------------------------------------------
