@@ -85,6 +85,8 @@ __all__ = [
     "MAX_RADICAND",
     "MAX_SEQ_DEPTH",
     "MAX_HORIZON",
+    "MAX_DEN",
+    "MAX_BUDGET",
 ]
 
 SCHEMA_VERSION = "1"
@@ -115,6 +117,17 @@ MAX_SEQ_DEPTH = 64
 # takes about 3.5 s at this bound (2-core host, CPython 3.11.7), and the
 # terms' bit length grows as n log n.
 MAX_HORIZON = 4096
+
+# Largest --max-den: a profile decides every denominator up to it.  A cfden
+# profile at this bound takes 4-7 s (same host), about four times as long
+# as at half the bound.
+MAX_DEN = 2048
+
+# Largest --budget / GCLOSE_BUDGET, as (max_terms, max_candidates).  The
+# slowest search measured at this bound, nullseq over three characters,
+# takes 1.3 s (same host).  Certificates list max_terms terms, and at 1024
+# terms bds builds integers too long to print.
+MAX_BUDGET = (512, 16384)
 
 
 def _int(text: str, pos: int, what: str) -> int:
@@ -565,6 +578,11 @@ def _resolve_config(policy: dict) -> tuple[Policy, Budget, dict]:
         return Budget(int(parts[0]), int(parts[1]))
 
     budget, bsrc = pick("budget", "GCLOSE_BUDGET", parse_budget, Budget())
+    if budget.max_terms > MAX_BUDGET[0] or budget.max_candidates > MAX_BUDGET[1]:
+        raise CliError(
+            f"budget {budget.max_terms},{budget.max_candidates} exceeds "
+            f"{MAX_BUDGET[0]},{MAX_BUDGET[1]}"
+        )
     try:
         pol = Policy(horizon=int(horizon), tolerance=Fraction(tolerance))
     except ValueError as exc:
@@ -744,6 +762,8 @@ def _human_membership(r):
 def _run_profile(args, policy, budget):
     seq = parse_seq(args["seq"])
     max_den = int(args["max_den"])
+    if max_den > MAX_DEN:
+        raise CliError(f"max-den {max_den} exceeds {MAX_DEN}")
     profile = rational_torsion_profile(seq, max_den, policy)
     return {
         "sequence": seq.describe(),

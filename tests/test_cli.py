@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from gclose import cli
 from gclose.circle import CirclePoint
 from gclose.cli import (
+    MAX_BUDGET,
+    MAX_DEN,
     MAX_HORIZON,
     MAX_RADICAND,
     MAX_SEQ_DEPTH,
@@ -402,6 +404,25 @@ def test_horizon_above_bound_is_an_error(monkeypatch, capsys):
     assert time.perf_counter() - started < 1
     report, _ = run(Command("tmem", {"seq": "geom:2", "point": "1/3"}, {"horizon": str(MAX_HORIZON)}))
     assert MAX_HORIZON == 4096 and report.config["horizon"] == "4096"
+
+
+def test_max_den_and_budget_above_bound_are_errors(monkeypatch, capsys):
+    started = time.perf_counter()
+    assert main(["profile", "--seq", "geom:2", "--max-den", str(MAX_DEN + 1)]) == 1
+    assert capsys.readouterr().err == f"gclose: error: max-den {MAX_DEN + 1} exceeds {MAX_DEN}\n"
+    cap = f"{MAX_BUDGET[0]},{MAX_BUDGET[1]}"
+    gmem = ["gmem", "--gens", "1/3", "--chi", "1/5"]
+    for over in (f"{MAX_BUDGET[0] + 1},8", f"8,{MAX_BUDGET[1] + 1}"):
+        assert main([*gmem, "--budget", over]) == 1
+        assert capsys.readouterr().err == f"gclose: error: budget {over} exceeds {cap}\n"
+    monkeypatch.setenv("GCLOSE_BUDGET", f"{MAX_BUDGET[0] + 1},8")
+    assert main(gmem) == 1
+    assert capsys.readouterr().err.endswith(f"exceeds {cap}\n")
+    assert time.perf_counter() - started < 1
+    monkeypatch.delenv("GCLOSE_BUDGET")
+    report, _ = run(Command("gmem", {"gens": "1/3", "chi": "1/5"}, {"budget": cap}))
+    assert MAX_BUDGET == (512, 16384) and report.config["budget"] == cap
+    assert MAX_DEN == 2048
 
 
 def test_bad_env_is_an_error(monkeypatch):
