@@ -220,7 +220,7 @@ def _echelon_case(
         ],
         cols,
     )
-    if rank == min(rows, cols) and rank == rows:
+    if rank == rows:
         left = IntMatrix.identity(rows)
     else:
         left = IntMatrix.from_rows(
