@@ -179,8 +179,9 @@ def snf_system_solvable(m: IntMatrix, b: tuple[int, ...]) -> bool:
 
 
 def _seeded_system(rng: random.Random) -> IntMatrix:
-    """0-7 x 0-9, entries up to 1000; four in ten are a product through a
-    narrower middle, so rank-deficient, and one row in three is scaled."""
+    """0-7 x 0-9.  Four in ten are a product through a narrower middle, so
+    often rank-deficient; the others have entries up to 1000, half their
+    rows scaled by 2 or 5."""
     rows, cols = rng.randint(0, 7), rng.randint(0, 9)
     if rng.random() < 0.4:
         rank = rng.randint(0, min(rows, cols))

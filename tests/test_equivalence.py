@@ -14,9 +14,9 @@ diff line by line.
   the results are recorded, not the systems.
 * ``echelon_systems.txt``: ``kernel_basis`` and ``system_solvable`` on 150
   seeded integer systems of shapes 0x0 to 16x32 (and 32x16), full rank or
-  a product of a small left factor and a right factor with entries up to
-  1000, rows of the right factor scaled by 2, 3 or 6 so that the column
-  lattice often has index above 1.  The kernel is recorded as the
+  a product of a small left factor and a right factor.  The right factor
+  has entries up to 1, 10 or 1000, its rows scaled by 2, 3 or 6, so the
+  column lattice often has index above 1.  The kernel is recorded as the
   ``row_hnf`` of the returned basis, so any basis of the same lattice
   renders alike; solvability is recorded for b = m*x, for b = m*x plus a
   small multiple of a unit vector, and for a random b.
