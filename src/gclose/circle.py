@@ -383,7 +383,13 @@ class SurdSum:
         return self._plus(-self.floor(), 1)
 
     def norm_cmp(self, fr: Fraction) -> int:
-        """Sign of (||value mod 1|| - fr).  Exact."""
+        """Sign of (||value mod 1|| - fr).  Exact.
+
+        A rational sum compares r = num mod den, reflected to
+        min(r, den - r), with fr in one integer cross-multiplication."""
+        if not self.terms:
+            r = self.num % self.den
+            return _sign(min(r, self.den - r) * fr.denominator - fr.numerator * self.den)
         return self.mod1()._unit_norm_cmp(fr)
 
     def norm_bracket(self, tol: Fraction, roots=None) -> tuple[int, int, int]:
@@ -440,7 +446,7 @@ def pair(term: tuple[int, ...], points: tuple[CirclePoint, ...]) -> SurdSum:
         num += scale * p.num
         if p.surd_coeff:
             parts[p.surd] = parts.get(p.surd, 0) + scale * p.surd_coeff
-    return SurdSum(num, _surd_terms(parts), den)
+    return SurdSum(num, _surd_terms(parts) if parts else (), den)
 
 
 @dataclass(frozen=True)

@@ -174,14 +174,43 @@ def _annihilator_candidates(generators, radius: int) -> list[tuple[int, ...]]:
     return sorted(combos, key=lambda v: (max(abs(x) for x in v), v))
 
 
-def _stage_annihilator(topology, chi, delta, count, counter) -> Witness | None:
-    lattice = von_neumann_radical(topology)
-    generators = lattice.element_generators()
-    if not generators:
+class _TopologyWork:
+    """What the searches of one public call derive from the topology alone,
+    each built on first use: the radical's generators, the annihilator
+    candidates per radius and the lattice pool per scale exponent.  Every
+    rung of a ladder, and every probe of a bds run, shares one; nothing
+    outlives the call that made it."""
+
+    def __init__(self, topology: PrecompactTopology):
+        self.topology = topology
+        self._generators = None
+        self._combos: dict[int, list[tuple[int, ...]]] = {}
+        self._pools: dict[int, list[tuple[int, ...]]] = {}
+
+    def generators(self):
+        if self._generators is None:
+            self._generators = von_neumann_radical(self.topology).element_generators()
+        return self._generators
+
+    def combos(self, radius: int) -> list[tuple[int, ...]]:
+        if radius not in self._combos:
+            self._combos[radius] = _annihilator_candidates(self.generators(), radius)
+        return self._combos[radius]
+
+    def pool(self, exponent: int) -> list[tuple[int, ...]]:
+        if exponent not in self._pools:
+            self._pools[exponent] = approximation_candidates(
+                self.topology.characters, 2**exponent
+            )
+        return self._pools[exponent]
+
+
+def _stage_annihilator(work, chi, delta, count, counter) -> Witness | None:
+    if not work.generators():
         return None
     tried: set[tuple[int, ...]] = set()
     for radius in (1, 2, 3):
-        for a in _annihilator_candidates(generators, radius):
+        for a in work.combos(radius):
             if a in tried:
                 continue
             tried.add(a)
@@ -189,14 +218,15 @@ def _stage_annihilator(topology, chi, delta, count, counter) -> Witness | None:
                 return None
             if pair(a, chi).norm_cmp(delta) >= 0:
                 witness = _certify(
-                    Constant(a), topology, chi, delta, count, "annihilator"
+                    Constant(a), work.topology, chi, delta, count, "annihilator"
                 )
                 if witness is not None:
                     return witness
     return None
 
 
-def _stage_cf_subsequence(topology, chi, delta, count, counter) -> Witness | None:
+def _stage_cf_subsequence(work, chi, delta, count, counter) -> Witness | None:
+    topology = work.topology
     chars = topology.characters
     if topology.ambient.free_rank != 1 or len(chars) != 1:
         return None
@@ -230,19 +260,16 @@ def _stage_cf_subsequence(topology, chi, delta, count, counter) -> Witness | Non
     return None
 
 
-def _stage_lattice(topology, chi, delta, count, counter) -> Witness | Exhausted:
-    chars = topology.characters
+def _stage_lattice(work, chi, delta, count, counter) -> Witness | Exhausted:
+    chars = work.topology.characters
     terms: list[tuple[int, ...]] = []
     escape_failed: set[tuple[int, ...]] = set()
-    pools: dict[int, list[tuple[int, ...]]] = {}
     for n in range(count):
         envelope = Fraction(1, 2**n)
         found = None
         seen: set[tuple[int, ...]] = set()
         for exponent in _SCALE_EXPONENTS:
-            if exponent not in pools:
-                pools[exponent] = approximation_candidates(chars, 2**exponent)
-            for a in pools[exponent]:
+            for a in work.pool(exponent):
                 if a in seen or a in escape_failed:
                     continue
                 seen.add(a)
@@ -250,8 +277,8 @@ def _stage_lattice(topology, chi, delta, count, counter) -> Witness | Exhausted:
                     return Exhausted(
                         f"candidate budget exhausted at term {n}", counter.used
                     )
-                # escape first: for rational chi it is plain fraction
-                # arithmetic, and a failure rules the candidate out forever
+                # escape first: for rational chi it is one integer
+                # comparison, and a failure rules the candidate out forever
                 if pair(a, chi).norm_cmp(delta) < 0:
                     escape_failed.add(a)
                     continue
@@ -268,7 +295,9 @@ def _stage_lattice(topology, chi, delta, count, counter) -> Witness | Exhausted:
                 counter.used,
             )
         terms.append(found)
-    witness = _certify(Explicit(tuple(terms)), topology, chi, delta, count, "lattice")
+    witness = _certify(
+        Explicit(tuple(terms)), work.topology, chi, delta, count, "lattice"
+    )
     if witness is None:  # defensive; terms were verified individually
         return Exhausted("assembled terms failed final certification", counter.used)
     return witness
@@ -286,6 +315,12 @@ def find_witness(
     (single irrational generator on Z), then per-term lattice approximation
     over the scale ladder with lexicographically smallest candidates first.
     """
+    return _search(_TopologyWork(topology), chi, delta, budget)
+
+
+def _search(work: _TopologyWork, chi, delta, budget) -> Witness | Exhausted:
+    """find_witness on the topology of work, reusing what work has built."""
+    topology = work.topology
     chi, delta = _validate(topology, chi, delta)
     budget = budget or Budget()
     count = budget.max_terms
@@ -303,7 +338,7 @@ def find_witness(
         (_stage_annihilator, "annihilator"),
         (_stage_cf_subsequence, "subsequence"),
     ):
-        witness = stage(topology, chi, delta, count, counter)
+        witness = stage(work, chi, delta, count, counter)
         if witness is not None:
             return witness
         if counter.used >= counter.limit:
@@ -311,7 +346,7 @@ def find_witness(
     if not topology.characters:
         # indiscrete topology: the annihilator stage already enumerated Z^k
         return Exhausted("no escaping vector found for the indiscrete topology", counter.used)
-    return _stage_lattice(topology, chi, delta, count, counter)
+    return _stage_lattice(work, chi, delta, count, counter)
 
 
 def check_witness(
@@ -342,11 +377,15 @@ def g_membership_experiment(
     budget: Budget | None = None,
     deltas: tuple[Fraction, ...] = DEFAULT_DELTA_LADDER,
 ) -> NotInGClosure | ConsistentWithMembership:
-    """Run find_witness down the threshold ladder; a single witness decides."""
-    chi = tuple(chi)
+    """Run find_witness down the threshold ladder; a single witness decides.
+    The rungs share one topology's work."""
+    return _ladder(_TopologyWork(topology), tuple(chi), budget, deltas)
+
+
+def _ladder(work, chi, budget, deltas) -> NotInGClosure | ConsistentWithMembership:
     attempts = []
     for delta in deltas:
-        result = find_witness(topology, chi, delta, budget)
+        result = _search(work, chi, delta, budget)
         if isinstance(result, Witness):
             return NotInGClosure(result, Fraction(delta))
         attempts.append((Fraction(delta), result))
@@ -390,9 +429,10 @@ def bds_experiment(
         multiples.append((j, verdict))
         if not (verdict.is_exact and verdict.member):
             verified = False
-    topology = PrecompactTopology.on_free(1, [(alpha,)])
+    # every probe runs on the same topology, so they share its work
+    work = _TopologyWork(PrecompactTopology.on_free(1, [(alpha,)]))
     probe_results = tuple(
-        (p, g_membership_experiment(topology, (p,), budget)) for p in probes
+        (p, _ladder(work, (p,), budget, DEFAULT_DELTA_LADDER)) for p in probes
     )
     return BdsReport(
         alpha, multiple_bound, tuple(multiples), verified, probe_results

@@ -5,6 +5,7 @@ hand or with Fraction arithmetic, continued fractions against a from-scratch
 Euclidean oracle, quadratic norms against interval evaluation of the surd.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -374,6 +375,35 @@ def test_surdsum_norm_cmp():
     s = SurdSum.from_point(GOLDEN, 2)  # 2*golden, about 1.236
     assert s.mod1().norm_cmp(Fraction(1, 4)) < 0
     assert s.mod1().norm_cmp(Fraction(1, 5)) > 0
+
+
+def test_rational_norm_cmp_matches_the_general_path(monkeypatch):
+    """The integer branch of norm_cmp, on sums with no surd terms, against
+    the general path it bypasses: mod1() and then _unit_norm_cmp."""
+    rng = random.Random(14)
+    cases = []
+    for _ in range(2000):
+        den = rng.choice((1, 2, rng.randint(1, 60), 2 * rng.randint(1, 30)))
+        num = rng.choice(
+            (0, rng.randint(-3 * den, 3 * den), den // 2 + den * rng.randint(-3, 3))
+        )
+        x = Fraction(num, den) % 1
+        q = rng.randint(1, 60)
+        for fr in (Fraction(0), Fraction(1, 2), min(x, 1 - x), Fraction(rng.randint(0, q), q)):
+            cases.append((SurdSum(num, (), den), fr))
+    expected = [s.mod1()._unit_norm_cmp(fr) for s, fr in cases]
+
+    def general_path(self):
+        raise AssertionError("a rational sum took the general path")
+
+    monkeypatch.setattr(SurdSum, "mod1", general_path)
+    assert [s.norm_cmp(fr) for s, fr in cases] == expected
+    # the seeds reach every edge the branch has
+    assert any(s.num < 0 for s, _ in cases) and any(s.num == 0 for s, _ in cases)
+    assert any(s.den == 1 for s, _ in cases)
+    assert any(s.den % 2 == 0 and 2 * (s.num % s.den) == s.den for s, _ in cases)
+    assert any(e == 0 and 0 < fr < Fraction(1, 2) for (_, fr), e in zip(cases, expected))
+    assert {-1, 0, 1} == set(expected)
 
 
 def test_enclosure_validation():

@@ -5,11 +5,14 @@ Fibonacci and Pell values are generated by from-scratch recurrences here,
 never read back from the implementation.
 """
 
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from gclose import witness
 from gclose.circle import CirclePoint, SurdSum, int_mul
 from gclose.duality import PrecompactTopology
 from gclose.torsion import Budget, Constant, Explicit, eval_seq, t_membership
@@ -259,3 +262,114 @@ def test_bds_validation():
         bds_experiment(rat(1, 3), [rat(1, 2)])
     with pytest.raises(WitnessError):
         bds_experiment(GOLDEN, [])
+
+
+# one topology's work, shared within a call --------------------------------------
+
+
+def seeded_rational_cases(seed, per_shape=4):
+    """(topology, chi) on Z^k with m rational characters, denominators <= 30,
+    for every shape (k, m) in {1, 2}^2; chi alternates between a random point
+    and a sum of generators, which lies in H and so climbs the whole ladder."""
+    rng = random.Random(seed)
+
+    def point():
+        return rat(rng.randrange(30), rng.randint(1, 30))
+
+    cases = []
+    for k in (1, 2):
+        for m in (1, 2):
+            for i in range(per_shape):
+                chars = [tuple(point() for _ in range(k)) for _ in range(m)]
+                if i % 2:
+                    chi = tuple(point() for _ in range(k))
+                else:
+                    coeffs = [rng.randint(1, 3) for _ in chars]
+                    chi = tuple(
+                        sum((int_mul(c, h[j]) for c, h in zip(coeffs, chars)), rat(0))
+                        for j in range(k)
+                    )
+                cases.append((topo(*chars), chi))
+    return cases
+
+
+def independent_ladder(t, chi, budget):
+    """g_membership_experiment rebuilt from one find_witness call per rung."""
+    attempts = []
+    for delta in DEFAULT_DELTA_LADDER:
+        result = find_witness(t, chi, delta, budget)
+        if isinstance(result, Witness):
+            return NotInGClosure(result, delta)
+        attempts.append((delta, result))
+    return ConsistentWithMembership(tuple(attempts))
+
+
+def test_shared_ladder_equals_independent_rungs():
+    budget = Budget(16, 128)
+    kinds = Counter()
+    for t, chi in seeded_rational_cases(14):
+        shared = g_membership_experiment(t, chi, budget)
+        assert shared == independent_ladder(t, chi, budget), (t.characters, chi)
+        if isinstance(shared, NotInGClosure):
+            kinds[shared.witness.strategy] += 1
+        else:
+            kinds["exhausted"] += 1
+            for _, e in shared.attempts:
+                kinds[e.reason.split(" ")[0]] += 1
+    # both outcomes, and rungs that reach the lattice stage
+    assert kinds["exhausted"] and kinds["no"] and (kinds["annihilator"] or kinds["lattice"])
+
+
+def test_bds_probes_share_work_and_equal_separate_ladders():
+    probes = [rat(1, 2), rat(1, 3), GOLDEN, rat(2, 7)]
+    budget = Budget(6, 32)
+    report = bds_experiment(GOLDEN, probes, budget, multiple_bound=1)
+    assert report.probes == tuple(
+        (p, independent_ladder(topo((GOLDEN,)), (p,), budget)) for p in probes
+    )
+    outcomes = {type(res) for _, res in report.probes}
+    assert outcomes == {NotInGClosure, ConsistentWithMembership}
+
+
+def count_calls(monkeypatch, name, calls):
+    """Count the calls the witness module makes to one of its kernel names,
+    keyed by the argument that selects the result."""
+    original = getattr(witness, name)
+
+    def counted(*args):
+        calls[(name,) + tuple(a for a in args[1:])] += 1
+        return original(*args)
+
+    monkeypatch.setattr(witness, name, counted)
+
+
+def test_one_ladder_builds_each_piece_of_work_once(monkeypatch):
+    calls = Counter()
+    for name in ("von_neumann_radical", "approximation_candidates", "_annihilator_candidates"):
+        count_calls(monkeypatch, name, calls)
+    t = topo((rat(1, 3), rat(1, 5)))
+    out = g_membership_experiment(t, (rat(2, 3), rat(2, 5)), Budget(16, 128))
+    assert isinstance(out, ConsistentWithMembership)
+    assert sum(e.reason.startswith("no candidate") for _, e in out.attempts) >= 2
+    assert calls[("von_neumann_radical",)] == 1
+    scales = [key for key in calls if key[0] == "approximation_candidates"]
+    radii = [key for key in calls if key[0] == "_annihilator_candidates"]
+    assert len(scales) >= 2 and radii
+    assert all(calls[key] == 1 for key in scales + radii)
+
+
+def test_each_public_call_builds_its_own_work(monkeypatch):
+    calls = Counter()
+    for name in ("von_neumann_radical", "approximation_candidates"):
+        count_calls(monkeypatch, name, calls)
+    t = topo((rat(1, 3), rat(1, 5)))
+    chi, delta, budget = (rat(2, 3), rat(2, 5)), Fraction(1, 6), Budget(16, 128)
+    first = find_witness(t, chi, delta, budget)
+    once = Counter(calls)
+    assert once[("von_neumann_radical",)] == 1 and len(once) >= 2
+    assert find_witness(t, chi, delta, budget) == first
+    assert calls == once + once
+    calls.clear()
+    g_membership_experiment(t, chi, budget)
+    g_membership_experiment(t, chi, budget)
+    assert all(n == 2 for n in calls.values())
