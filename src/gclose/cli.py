@@ -87,6 +87,7 @@ __all__ = [
     "MAX_HORIZON",
     "MAX_DEN",
     "MAX_BUDGET",
+    "MAX_MULTIPLE",
 ]
 
 SCHEMA_VERSION = "1"
@@ -128,6 +129,10 @@ MAX_DEN = 2048
 # takes 1.3 s (same host).  Certificates list max_terms terms, and at 1024
 # terms bds builds integers too long to print.
 MAX_BUDGET = (512, 16384)
+
+# Largest bds --multiple-bound: bds checks 2N + 1 multiples of alpha, one
+# exact verdict each.  At this bound a bds run takes 0.3-0.5 s (same host).
+MAX_MULTIPLE = 4096
 
 
 def _int(text: str, pos: int, what: str) -> int:
@@ -898,6 +903,8 @@ def _run_bds(args, policy, budget):
     alpha = parse_point(args["alpha"])
     probes = [parse_point(p) for p in (args["probes"].split(";") if args["probes"].strip() else [])]
     bound = int(args.get("multiple_bound") or 10)
+    if bound > MAX_MULTIPLE:
+        raise CliError(f"multiple-bound {bound} exceeds {MAX_MULTIPLE}")
     report = bds_experiment(alpha, probes, budget, bound)
     all_decided = all(isinstance(res, NotInGClosure) for _, res in report.probes)
     code = 0 if (report.inclusion_verified and all_decided) else 2

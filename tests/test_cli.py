@@ -21,6 +21,7 @@ from gclose.cli import (
     MAX_BUDGET,
     MAX_DEN,
     MAX_HORIZON,
+    MAX_MULTIPLE,
     MAX_RADICAND,
     MAX_SEQ_DEPTH,
     CliError,
@@ -423,6 +424,26 @@ def test_max_den_and_budget_above_bound_are_errors(monkeypatch, capsys):
     report, _ = run(Command("gmem", {"gens": "1/3", "chi": "1/5"}, {"budget": cap}))
     assert MAX_BUDGET == (512, 16384) and report.config["budget"] == cap
     assert MAX_DEN == 2048
+
+
+def test_multiple_bound_above_bound_is_an_error(capsys):
+    bds = ["bds", "--alpha", "quad:(-1+1*sqrt(5))/2", "--probes", "1/3"]
+    started = time.perf_counter()
+    assert main([*bds, "--multiple-bound", str(MAX_MULTIPLE + 1)]) == 1
+    assert capsys.readouterr().err == (
+        f"gclose: error: multiple-bound {MAX_MULTIPLE + 1} exceeds {MAX_MULTIPLE}\n"
+    )
+    assert time.perf_counter() - started < 1
+    report, _ = run(
+        Command(
+            "bds",
+            {"alpha": bds[2], "probes": "1/3", "multiple_bound": str(MAX_MULTIPLE)},
+            {"budget": "6,32"},
+        )
+    )
+    assert MAX_MULTIPLE == 4096 and report.result["multiple_bound"] == "4096"
+    assert report.result["inclusion_verified"] is True
+    assert len(report.result["multiples"]) == 2 * MAX_MULTIPLE + 1
 
 
 def test_bad_env_is_an_error(monkeypatch):
