@@ -332,12 +332,12 @@ def test_bds_probes_share_work_and_equal_separate_ladders():
 
 
 def count_calls(monkeypatch, name, calls):
-    """Count the calls the witness module makes to one of its kernel names,
-    keyed by the argument that selects the result."""
+    """Count the calls the witness module makes to one of its names, keyed
+    by the name and the arguments after the first (the scale or radius)."""
     original = getattr(witness, name)
 
     def counted(*args):
-        calls[(name,) + tuple(a for a in args[1:])] += 1
+        calls[(name, *args[1:])] += 1
         return original(*args)
 
     monkeypatch.setattr(witness, name, counted)
