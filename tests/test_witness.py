@@ -306,18 +306,18 @@ def independent_ladder(t, chi, budget):
 
 def test_shared_ladder_equals_independent_rungs():
     budget = Budget(16, 128)
-    kinds = Counter()
+    seen = Counter()
     for t, chi in seeded_rational_cases(14):
         shared = g_membership_experiment(t, chi, budget)
         assert shared == independent_ladder(t, chi, budget), (t.characters, chi)
         if isinstance(shared, NotInGClosure):
-            kinds[shared.witness.strategy] += 1
+            seen["witness"] += 1
         else:
-            kinds["exhausted"] += 1
-            for _, e in shared.attempts:
-                kinds[e.reason.split(" ")[0]] += 1
-    # both outcomes, and rungs that reach the lattice stage
-    assert kinds["exhausted"] and kinds["no"] and (kinds["annihilator"] or kinds["lattice"])
+            seen["lattice rung"] += sum(
+                e.reason.startswith("no candidate") for _, e in shared.attempts
+            )
+    # both outcomes, and rungs that searched the lattice pools
+    assert seen["witness"] and seen["lattice rung"]
 
 
 def test_bds_probes_share_work_and_equal_separate_ladders():
