@@ -71,7 +71,14 @@ def test_golden_output(name, argv, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name", ["tmem-geom-state-cap", "tmem-geom-state-cap-m61", "tmem-interleave-strided-state-cap"]
+    "name",
+    [
+        "tmem-geom-state-cap",
+        "tmem-geom-state-cap-m61",
+        "tmem-interleave-strided-state-cap",
+        "tmem-cfden-state-cap",
+        "tmem-cfden-strided-state-cap",
+    ],
 )
 def test_state_cap_queries_are_fast_and_small(name, monkeypatch):
     # orbits of more than 10^6 states: the period search stores O(sqrt) states,
