@@ -13,7 +13,8 @@ numeric bound, ``CirclePoint.as_fraction`` and ``SurdSum.rat``.
 Continued-fraction expansions are computed exactly as well: finite Euclidean
 expansions for rationals (last partial quotient >= 2) and eventually periodic
 expansions for quadratic irrationals via the classical (P + sqrt(D))/Q
-complete-quotient recursion with state-repetition period detection.
+complete-quotient recursion; the period closes when the first reduced
+complete quotient returns.
 """
 
 from __future__ import annotations
@@ -513,16 +514,19 @@ def _cf_quadratic(x: CirclePoint, min_terms: int) -> CFExpansion:
         P, Q = -x.num, -x.den
     if (D - P * P) % Q:
         P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    # the expansion is purely periodic from the first reduced complete
+    # quotient, 0 < P <= s and s - P < Q <= s + P (Galois; Perron), so the
+    # period closes when (P, Q) returns to it
     s = isqrt(D)
     digits: list[int] = []
-    seen: dict[tuple[int, int], int] = {}
-    period = None
+    start = period = None
     while period is None or len(digits) < min_terms:
         if period is None:
-            if (P, Q) in seen:
-                period = (seen[(P, Q)], len(digits) - seen[(P, Q)])
+            if start is None and 0 < P <= s and s - P < Q <= s + P:
+                start, mark = len(digits), (P, Q)
+            elif start is not None and (P, Q) == mark:
+                period = (start, len(digits) - start)
                 continue
-            seen[(P, Q)] = len(digits)
         a = (P + s) // Q if Q > 0 else (-P - s - 1) // -Q
         digits.append(a)
         P = a * Q - P

@@ -7,6 +7,7 @@ Euclidean oracle, quadratic norms against interval evaluation of the surd.
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,34 @@ SQRT2M1 = CirclePoint.quadratic(-1, 1, 1, 2)
 
 
 # independent oracles ------------------------------------------------------
+
+
+def cf_quadratic_by_dict(x: CirclePoint, min_terms: int) -> CFExpansion:
+    """Quadratic expansion whose period closes at the first repeated (P, Q),
+    with every complete quotient kept in a dict until then."""
+    b, d = x.surd_coeff, x.surd
+    D = b * b * d
+    if b > 0:
+        P, Q = x.num, x.den
+    else:
+        P, Q = -x.num, -x.den
+    if (D - P * P) % Q:
+        P, D, Q = P * abs(Q), D * Q * Q, Q * abs(Q)
+    s = isqrt(D)
+    digits: list[int] = []
+    seen: dict[tuple[int, int], int] = {}
+    period = None
+    while period is None or len(digits) < min_terms:
+        if period is None:
+            if (P, Q) in seen:
+                period = (seen[(P, Q)], len(digits) - seen[(P, Q)])
+                continue
+            seen[(P, Q)] = len(digits)
+        a = (P + s) // Q if Q > 0 else (-P - s - 1) // -Q
+        digits.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+    return CFExpansion(tuple(digits), period)
 
 
 def cf_oracle(p: int, q: int) -> list[int]:
@@ -418,3 +447,22 @@ def test_cfexpansion_quotient_fold():
     assert [cf.quotient(i) for i in range(8)] == [0, 1, 2, 1, 2, 1, 2, 1]
     assert cf.canonical_index(7) == 1
     assert cf.canonical_index(6) == 2
+
+
+def test_quadratic_period_closes_at_the_first_reduced_quotient():
+    # the marked reduced quotient gives the period the repeated-state dict gives
+    rng = random.Random(20261102)
+    starts, checked = set(), 0
+    for _ in range(12000):
+        d = rng.choice((2, 3, 5, 7, 13, 61, 94, rng.randint(2, 500)))
+        b = rng.choice((-1, 1)) * rng.randint(1, 4)
+        c = rng.choice((-1, 1)) * rng.randint(1, 30)
+        x = CirclePoint.quadratic(rng.randint(-1000, 1000), b, c, d)
+        if x.is_rational:
+            continue
+        terms = rng.choice((1, 64, 300))
+        expected = cf_quadratic_by_dict(x, terms)
+        assert cf_expand(x, terms) == expected, x
+        starts.add(expected.period[0])
+        checked += 1
+    assert checked >= 10000 and starts == {1, 2, 3, 4, 5}
