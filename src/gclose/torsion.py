@@ -13,16 +13,19 @@ scalar orbit converges to 0 in R/Z.  Verdicts come in three strengths:
 
 The exact routes never consult floating point.  A rational point makes
 n -> <u_n, x> a residue orbit mod q: a pre-period, then a period of states.
-Geometric orbits c*b^n mod q (plain, strided or constant) are closed form:
-a gcd split of q gives the pre-period, baby-step giant-step the period, and
-no state is stored.  A factorial orbit is absorbed at the least a with
-q | a!*c and then has period q.  Only convergent-denominator orbits are run,
-by an automaton with cycle detection.  Strides and interleaves of these are
-index arithmetic: a stride (A, B) over (first, period) starts at the least n
-with A*n + B >= first and repeats every period/gcd(A, period); an interleave
-with blocks b_j starts once every child is in its cycle and repeats every
-sum(b_j)*lcm_j(p_j/gcd(b_j, p_j)).  The state cap bounds every part of an
-orbit (each leaf, each interleave and the whole); past it the ladder scans.
+Every such orbit is in closed form and none stores its states.  Geometric
+orbits c*b^n mod q (plain, strided or constant): a gcd split of q gives the
+pre-period, baby-step giant-step the period.  A factorial orbit is absorbed
+at the least a with q | a!*c and then has period q.  Convergent-denominator
+orbits step by 2x2 matrices of determinant -1: past the CF pre-period they
+are purely periodic, and baby-step giant-step on the product over one CF
+period gives the period.  Strides and interleaves of these are index
+arithmetic: a stride (A, B) over (first, period) starts at the least n with
+A*n + B >= first and repeats every period/gcd(A, period); an interleave with
+blocks b_j starts once every child is in its cycle and repeats every
+sum(b_j)*lcm_j(p_j/gcd(b_j, p_j)).  One summariser reads each cycle in a
+single walk.  The state cap bounds every part of an orbit (each leaf, each
+interleave and the whole); past it the ladder scans.
 Quadratic orbits along continued-fraction denominators are decided through
 the classical approximation bound |q_n*alpha - p_n| < 1/q_{n+1}.
 
@@ -38,10 +41,10 @@ index, term, envelope and threshold with n, u_n, 2^-n and delta.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import factorial, gcd, isqrt, lcm
 
 from .circle import (
@@ -84,7 +87,8 @@ __all__ = [
     "recheck_null_certificate",
 ]
 
-# residue-automaton state cap before degrading to a numeric scan
+# most states (pre-period plus period) of a residue orbit, or of any part
+# of it, before the ladder degrades to a numeric scan
 _STATE_CAP = 1_000_000
 
 
@@ -180,10 +184,6 @@ def _cf_entry(alpha: CirclePoint) -> tuple[CFExpansion, list[int]]:
     if len(_CF_CACHE) > _CF_CACHE_SIZE:
         _CF_CACHE.popitem(last=False)
     return entry
-
-
-def _expansion(alpha: CirclePoint) -> CFExpansion:
-    return _cf_entry(alpha)[0]
 
 
 def _q_denominator(alpha: CirclePoint, n: int) -> int:
@@ -450,127 +450,73 @@ class Verdict:
 # residue orbits for rational points
 
 
-class _CFMachine:
-    # r_n = q_n * c mod q along the convergent recurrence
-    def __init__(self, cf: CFExpansion, c: int, q: int):
-        self.cf = cf
-        self.c = c % q
-        self.q = q
-        self.prev, self.cur = 0, 1 % q
-        self.idx = 1
-
-    def state(self):
-        return (self.cf.canonical_index(self.idx), self.prev, self.cur)
-
-    def residue(self) -> int:
-        return self.cur * self.c % self.q
-
-    def advance(self):
-        a = self.cf.quotient(self.idx)
-        self.prev, self.cur = self.cur, (a * self.cur + self.prev) % self.q
-        self.idx += 1
-
-
-class _PairMachine:
-    # R_n = (cp * p_n + cq * q_n) mod L along the convergent recurrences
-    def __init__(self, cf: CFExpansion, cp: int, cq: int, L: int):
-        self.cf = cf
-        self.cp, self.cq, self.L = cp % L, cq % L, L
-        self.pprev, self.pcur = 1 % L, cf.quotient(0) % L
-        self.qprev, self.qcur = 0, 1 % L
-        self.idx = 1
-
-    def state(self):
-        return (
-            self.cf.canonical_index(self.idx),
-            self.pprev,
-            self.pcur,
-            self.qprev,
-            self.qcur,
-        )
-
-    def residue(self) -> int:
-        return (self.cp * self.pcur + self.cq * self.qcur) % self.L
-
-    def advance(self):
-        a = self.cf.quotient(self.idx)
-        self.pprev, self.pcur = self.pcur, (a * self.pcur + self.pprev) % self.L
-        self.qprev, self.qcur = self.qcur, (a * self.qcur + self.qprev) % self.L
-        self.idx += 1
-
-
 @dataclass(frozen=True)
 class _Orbit:
-    """The residue orbit of an automaton whose states repeat from index first
-    with period period; at(n) is the residue at any index n >= 0."""
+    """A residue orbit whose states repeat from index first with period
+    period.  walk(n0, s) yields the residues at n0, n0 + s, n0 + 2s, ...
+    without end and in O(1) memory."""
 
     first: int
     period: int
-    at: Callable[[int], int]
-
-
-def _run_cycle(machine, cap: int = _STATE_CAP) -> _Orbit | None:
-    """Drive the automaton to a state repetition: its orbit, or None when
-    that takes more than cap states."""
-    seen: dict = {}
-    residues: list[int] = []
-    while True:
-        st = machine.state()
-        if st in seen:
-            first = seen[st]
-            period = len(residues) - first
-            return _Orbit(
-                first, period, lambda n: residues[n if n < first else first + (n - first) % period]
-            )
-        if len(residues) >= cap:
-            return None
-        seen[st] = len(residues)
-        residues.append(machine.residue())
-        machine.advance()
+    walk: Callable[[int, int], Iterator[int]]
 
 
 def _summarize_cycle(orbit: _Orbit, q: int) -> tuple[int, Fraction, int]:
     """(best, norm, index) of a residue orbit mod q with cycle [first, first+period):
     (0, 0, n0) for an all-zero cycle, n0 one past the last nonzero residue;
-    else the cycle residue of largest norm (smaller on ties) at its first index."""
+    else the cycle residue of largest norm (smaller on ties) at its first index.
+    One pass over the walk from 0; no residue is kept."""
     first = orbit.first
-    residues = [orbit.at(n) for n in range(first + orbit.period)]
-    cycle = residues[first:]
-    if not any(cycle):
-        nz = [i for i, v in enumerate(residues) if v]
-        return 0, Fraction(0), max(nz) + 1 if nz else 0
-    best = max((v for v in cycle if v), key=lambda v: (min(v, q - v), -v))
-    return best, Fraction(min(best, q - best), q), first + cycle.index(best)
+    residues = orbit.walk(0, 1)
+    last = max((n + 1 for n, v in zip(range(first), residues) if v), default=0)
+    best = top = index = 0
+    for n, v in enumerate(islice(residues, orbit.period), first):
+        d = q - v if v + v > q else v
+        if d >= top and (d > top or v < best):
+            best, index, top = v, n, d
+    if not best:
+        return 0, Fraction(0), last
+    return best, Fraction(top, q), index
 
 
-def _order(g: int, m: int, bound: int) -> int | None:
-    """Least k in [1, bound] with g^k = 1 mod m, for g a unit mod m, or None
-    when the order exceeds bound.  Baby-step giant-step (Shanks 1971) with
-    isqrt(min(bound, m)) + 1 baby steps."""
-    if m == 1:
-        return 1
-    n = min(bound, m)
+def _act(mul, g, k: int, x):
+    """g^k applied to x, by repeated squaring of g."""
+    while k:
+        if k & 1:
+            x = mul(g, x)
+        k >>= 1
+        if k:
+            g = mul(g, g)
+    return x
+
+
+def _order(mul, g, x, bound: int, size: int) -> int | None:
+    """Least k in [1, bound] with g^k x = x, or None when there is none.
+    mul(a, b) applies a to b and multiplies two powers of g; g permutes a set
+    of size elements that holds x.  Baby-step giant-step (Shanks 1971) with
+    isqrt(min(bound, size)) + 1 baby steps."""
+    n = min(bound, size)
     t = isqrt(n) + 1
-    baby, e = {}, 1
+    baby, e = {}, x
     for j in range(t):
-        if j and e == 1:
+        if j and e == x:
             return j
         baby[e] = j
-        e = e * g % m
-    # the order is at least t, so the baby steps are distinct; e = g^t
-    giant = e
+        e = mul(g, e)
+    # the order is at least t, so the baby steps are distinct; e = g^t x
+    giant = _act(mul, g, t - 1, g)
     for i in range(1, -(-n // t) + 1):
-        j = baby.get(giant)
+        j = baby.get(e)
         if j is not None:
             k = i * t - j
             return k if k <= bound else None
-        giant = giant * e % m
+        e = mul(giant, e)
     return None
 
 
-def _geometric_shape(start: int, step: int, q: int, cap: int) -> tuple[int, int] | None:
-    """(first, period) of the orbit s_n = start*step^n mod q, or None exactly
-    when first + period > cap.
+def _geometric_orbit(start: int, step: int, q: int, cap: int) -> _Orbit | None:
+    """The orbit s_n = start*step^n mod q, or None exactly when first + period
+    > cap.  It walks with one multiplication per residue.
 
     q = q1*q2 with q2 the largest divisor of q coprime to step.  Modulo q1 the
     orbit is distinct until it reaches 0, where it stays; modulo q2 step is a
@@ -588,41 +534,18 @@ def _geometric_shape(start: int, step: int, q: int, cap: int) -> tuple[int, int]
         first += 1
     if first >= cap:
         return None
-    s = start * pow(step, first, q) % q
-    period = _order(step, q2 // gcd(s, q2), cap - first)
-    return None if period is None else (first, period)
-
-
-def _geometric_cycle(
-    start: int, step: int, q: int, cap: int = _STATE_CAP
-) -> tuple[int, int, int, int] | None:
-    """(first, period, best, index) of the orbit s_n = start*step^n mod q, as
-    _summarize_cycle gives them, or None exactly when first + period > cap.
-    One walk over the cycle, no residue stored.  An all-zero cycle has best 0
-    and index first, since no residue before it is 0."""
-    shape = _geometric_shape(start, step, q, cap)
-    if shape is None:
+    m = q2 // gcd(start * pow(step, first, q), q2)
+    period = _order(lambda a, b: a * b % m, step % m, 1 % m, cap - first, m)
+    if period is None:
         return None
-    first, period = shape
-    s = start * pow(step, first, q) % q
-    best, index, v = s, first, s
-    top = min(s, q - s)
-    for n in range(first + 1, first + period):
-        v = v * step % q
-        d = min(v, q - v)
-        if d > top or (d == top and v < best):
-            best, index, top = v, n, d
-    return first, period, best, index
 
+    def walk(n0: int, s: int) -> Iterator[int]:
+        v, jump = start * pow(step, n0, q) % q, pow(step, s, q)
+        while True:
+            yield v
+            v = v * jump % q
 
-def _geometric_start(
-    root: IntVecSeq, A: int, B: int, w: tuple[int, ...], q: int
-) -> tuple[int, int]:
-    """(start, step) with <root_(A*n+B), w> = start*step^n mod q for a
-    geometric or constant root, by jumping with pow rather than stepping."""
-    if isinstance(root, Constant):
-        return _dot(root.vector, w) % q, 1
-    return _dot(root.pattern, w) * pow(root.base, B, q) % q, pow(root.base, A, q)
+    return _Orbit(first, period, walk)
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -638,26 +561,104 @@ def _factorial_residues(c: int, q: int):
         r = r * n % q
 
 
+def _quotients(cf: CFExpansion, i: int) -> Iterator[int]:
+    """The quotients a_i, a_(i+1), ... of a periodic expansion."""
+    start, length = cf.period
+    end = start + length
+    return chain(
+        cf.quotients[cf.canonical_index(i) : end], chain.from_iterable(repeat(cf.quotients[start:end]))
+    )
+
+
+def _cf_orbit(cf: CFExpansion, w: tuple[int, ...], L: int, cap: int) -> _Orbit | None:
+    """The orbit of c*q_n mod L for w = (c,), or of cp*p_n + cq*q_n for
+    w = (cp, cq), or None when first + period > cap.  The state at n is the
+    matrix with columns (p_(n-1), p_n), (q_(n-1), q_n) mod L (or the q column)
+    and the index n+1 folded into the CF period (start, length); a step
+    multiplies by [[0, 1], [1, a_(n+1)]].  States before first = max(0, start - 1)
+    never recur, and from there the orbit is purely periodic: its period is
+    length*t for the least t with M^t X = X, M the product over one CF
+    period and X the state at first."""
+    start, length = cf.period
+    first = max(0, start - 1)
+    if length > cap - first:
+        return None
+
+    # matrices are tuples of columns
+    def mul(a, x):
+        (a00, a10), (a01, a11) = a
+        return tuple(((a00 * u + a01 * v) % L, (a10 * u + a11 * v) % L) for u, v in x)
+
+    def advance(x, i: int, s: int):
+        # the state at index i -> the state at i + s
+        for a in islice(_quotients(cf, i + 1), s):
+            x = tuple((v, (a * v + u) % L) for u, v in x)
+        return x
+
+    x0 = tuple((u % L, v % L) for u, v in ((1, cf.quotient(0)), (0, 1))[-len(w) :])
+    x_first = advance(x0, 0, first)
+    m = advance(((1, 0), (0, 1)), first, length)
+    t = _order(mul, m, x_first, (cap - first) // length, L ** (2 * len(w)))
+    if t is None:
+        return None
+
+    def residues(x, i: int) -> Iterator[int]:
+        # every residue from the state x at index i on, by the scalar
+        # recurrence R_n = a_n*R_(n-1) + R_(n-2) that they all share
+        rp, rc = (_dot(w, row) % L for row in zip(*x))
+        yield rc
+        for a in _quotients(cf, i + 1):
+            rp, rc = rc, (a * rc + rp) % L
+            yield rc
+
+    def state(n: int):
+        if n < first:
+            return advance(x0, 0, n)
+        k, r = divmod(n - first, length)
+        return advance(_act(mul, m, k, x_first), first, r)
+
+    def walk(n0: int, s: int) -> Iterator[int]:
+        if s <= length:
+            return islice(residues(state(n0), n0), 0, None, s)
+        return jumps(n0, s)
+
+    def jumps(n: int, s: int) -> Iterator[int]:
+        # past the pre-period, keep y = M^k X for n = first + k*length + r and
+        # jump it by whole periods; r steps from y give the state at n
+        while n < first:
+            yield next(residues(state(n), n))
+            n += s
+        k, r = divmod(n - first, length)
+        y, (dk, dr) = _act(mul, m, k, x_first), divmod(s, length)
+        jump = [_act(mul, m, e, m) for e in (dk - 1, dk)]
+        while True:
+            yield next(islice(residues(y, first), r, None))
+            y, r = mul(jump[r + dr >= length], y), (r + dr) % length
+
+    return _Orbit(first, length * t, walk)
+
+
 def _orbit(u: IntVecSeq, w: tuple[int, ...], q: int, cap: int = _STATE_CAP) -> _Orbit | None:
     """The orbit n -> <u_n, w> mod q (see the module docstring), or None when
     u has finite terms or some part of it has more than cap states.  A cfden
-    root with w = (cp, cq) gives the orbit of cp*p_n + cq*q_n instead."""
+    root with w = (cp, cq) gives the orbit of cp*p_n + cq*q_n instead.  Every
+    part walks in O(1) memory; none stores its states."""
     root, A, B = _chain(u)
-    if isinstance(root, (Constant, Geometric)):
-        start, step = _geometric_start(root, A, B, w, q)
-        shape = _geometric_shape(start, step, q, cap)
-        if shape is None:
-            return None
-        return _Orbit(*shape, lambda n: start * pow(step, n, q) % q)
+    if isinstance(root, Constant):
+        return _geometric_orbit(_dot(root.vector, w), 1, q, cap)
+    if isinstance(root, Geometric):
+        start = _dot(root.pattern, w) * pow(root.base, B, q)
+        return _geometric_orbit(start, pow(root.base, A, q), q, cap)
     if isinstance(root, Factorial):
-        absorbed = list(islice(_factorial_residues(_dot(root.pattern, w), q), max(0, cap - q + 1)))
-        if len(absorbed) + q > cap:
+        c = _dot(root.pattern, w)
+        first = sum(1 for _ in islice(_factorial_residues(c, q), max(0, cap - q + 1)))
+        if first + q > cap:
             return None
-        orbit = _Orbit(len(absorbed), q, lambda n: absorbed[n] if n < len(absorbed) else 0)
+        orbit = _Orbit(
+            first, q, lambda n0, s: chain(islice(_factorial_residues(c, q), n0, None, s), repeat(0))
+        )
     elif isinstance(root, CFDenominators):
-        cf = _expansion(root.alpha)
-        machine = _CFMachine(cf, w[0], q) if len(w) == 1 else _PairMachine(cf, *w, q)
-        orbit = _run_cycle(machine, cap)
+        orbit = _cf_orbit(_cf_entry(root.alpha)[0], w, q, cap)
     elif isinstance(root, Interleave):
         orbit = _interleave_orbit(root, w, q, cap)
     else:
@@ -667,7 +668,7 @@ def _orbit(u: IntVecSeq, w: tuple[int, ...], q: int, cap: int = _STATE_CAP) -> _
     return _Orbit(
         max(0, -((B - orbit.first) // A)),
         orbit.period // gcd(A, orbit.period),
-        lambda n: orbit.at(A * n + B),
+        lambda n0, s: orbit.walk(A * n0 + B, A * s),
     )
 
 
@@ -675,20 +676,23 @@ def _interleave_orbit(u: Interleave, w: tuple[int, ...], q: int, cap: int) -> _O
     """Interleave of the children's orbits (f_j, p_j) with blocks b_j and
     cycle C = sum(b_j): the state repeats once every child is in its cycle,
     from max_j(global_index(j, f_j - 1) + 1), and every C*lcm_j(p_j/gcd(b_j, p_j))
-    indices."""
+    indices.  A walk with step s visits C/gcd(s, C) slots in turn, and each
+    slot walks its child with step b_j*s/gcd(s, C)."""
     parts = [_orbit(c, w, q, cap) for c in u.children]
     if any(o is None for o in parts):
         return None
     first = max(u.global_index(j, o.first - 1) + 1 for j, o in enumerate(parts))
-    period = sum(u.blocks) * lcm(*(o.period // gcd(b, o.period) for o, b in zip(parts, u.blocks)))
+    cycle = sum(u.blocks)
+    period = cycle * lcm(*(o.period // gcd(b, o.period) for o, b in zip(parts, u.blocks)))
     if first + period > cap:
         return None
 
-    def at(n: int) -> int:
-        j, m = u._locate(n)
-        return parts[j].at(m)
+    def walk(n0: int, s: int) -> Iterator[int]:
+        g = gcd(s, cycle)
+        slots = map(u._locate, range(n0, n0 + cycle // g * s, s))
+        return chain.from_iterable(zip(*(parts[j].walk(m, u.blocks[j] * s // g) for j, m in slots)))
 
-    return _Orbit(first, period, at)
+    return _Orbit(first, period, walk)
 
 
 def _orbit_verdict(q: int, first: int, period: int, best: int, idx: int) -> Verdict:
@@ -833,16 +837,11 @@ def _decide_rational(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -
     root, A, B = _chain(u)
     if isinstance(root, Factorial):
         return _factorial_in(_dot(root.pattern, w) % q, q, A, B)
-    if isinstance(root, (Constant, Geometric)):
-        orbit = _geometric_cycle(*_geometric_start(root, A, B, w, q), q)
-    elif (o := _orbit(u, w, q)) is not None:
-        best, _, idx = _summarize_cycle(o, q)
-        orbit = o.first, o.period, best, idx
-    else:
-        orbit = None
+    orbit = _orbit(u, w, q)
     if orbit is None:
         return _scan(u, x, policy)
-    return _orbit_verdict(q, *orbit)
+    best, _, idx = _summarize_cycle(orbit, q)
+    return _orbit_verdict(q, orbit.first, orbit.period, best, idx)
 
 
 def _cf_pairing(alpha: CirclePoint, x: CirclePoint) -> tuple[tuple[int, ...], int] | None:
@@ -908,9 +907,7 @@ def _decide_cf_quadratic(
 
 def _decide_constant_value(value: SurdSum) -> Verdict:
     if value.is_integer():
-        return Verdict.exact_in(
-            "constant pairing = 0 (mod 1) at every index", from_index=0
-        )
+        return Verdict.exact_in("constant pairing = 0 (mod 1) at every index", from_index=0)
     if value.is_rational():
         norm = value.norm_enclosure().lower
         return Verdict.exact_out(
@@ -932,9 +929,7 @@ def _decide_constant_value(value: SurdSum) -> Verdict:
         tol /= 2**16
 
 
-def _combine_interleave(
-    u: Interleave, verdicts: list[Verdict], policy: Policy
-) -> Verdict:
+def _combine_interleave(u: Interleave, verdicts: list[Verdict]) -> Verdict:
     for j, v in enumerate(verdicts):
         if v.status == EXACT and v.member is False:
             e0 = v.fact("escape_index", 0)
@@ -1004,7 +999,7 @@ def s_membership(
 def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
     if isinstance(u, Interleave) and u.horizon() is None:
         verdicts = [_decide(c, x, policy) for c in u.children]
-        return _combine_interleave(u, verdicts, policy)
+        return _combine_interleave(u, verdicts)
     if u.horizon() is not None:
         return _finite_scan(u, x, policy)
     if all(p.is_rational for p in x):
@@ -1059,9 +1054,7 @@ def rational_torsion_profile(
         raise TorsionError("profile requires a one-dimensional sequence")
     if max_den < 1:
         raise TorsionError("max_den must be >= 1")
-    entries = []
-    admitted = []
-    flagged = []
+    entries, admitted, flagged = [], [], []
     for q in range(1, max_den + 1):
         v = s_membership(u, (CirclePoint.rational(1, q),), policy)
         entries.append((q, v))

@@ -242,8 +242,7 @@ def _stage_cf_subsequence(work, chi, delta, count, counter) -> Witness | None:
         return None
     first, period = orbit.first, orbit.period
     classes = []
-    for pos in range(period):
-        v = orbit.at(first + pos)
+    for pos, v in zip(range(period), orbit.walk(first, 1)):
         norm = Fraction(min(v, modulus - v), modulus)
         if v and norm >= delta:
             classes.append((norm, pos))

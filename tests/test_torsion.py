@@ -9,7 +9,10 @@ residues by the convergent recurrence mod q.
 import math
 import random
 import time
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from gclose import circle
 from gclose.circle import (
     BoundedExpansionError,
+    CFExpansion,
     CirclePoint,
     SurdSum,
     cf_expand,
@@ -51,16 +55,14 @@ from gclose.torsion import (
     _CF_CACHE,
     _CF_CACHE_SIZE,
     _STATE_CAP,
-    _CFMachine,
-    _PairMachine,
+    _cf_entry,
+    _cf_orbit,
     _cf_pairing,
     _chain,
-    _expansion,
-    _geometric_cycle,
+    _geometric_orbit,
     _orbit,
     _orbit_verdict,
     _q_denominator,
-    _run_cycle,
     _scan,
     _summarize_cycle,
 )
@@ -477,12 +479,105 @@ def test_continued_fraction_cache_keeps_the_latest_points():
         assert _q_denominator(alpha, 3) == convergent_denominators(cf_expand(alpha), 4)[3]
     assert len(_CF_CACHE) <= _CF_CACHE_SIZE == 256
     assert points[0] not in _CF_CACHE and points[-256] in _CF_CACHE
-    _expansion(points[-256])  # a hit makes it the most recent
+    _cf_entry(points[-256])  # a hit makes it the most recent
     _q_denominator(CirclePoint.quadratic(1, 1, 303, 2), 0)
     assert points[-256] in _CF_CACHE and points[-255] not in _CF_CACHE
 
 
-# reference automata: one state per term, strides and interleaves stepped
+# reference automata: one state per term, strides and interleaves stepped,
+# every state kept until one repeats
+
+
+@dataclass(frozen=True)
+class _Cycle:
+    """The residue orbit of an automaton whose states repeat from index first
+    with period period; at(n) is the residue at any index n >= 0."""
+
+    first: int
+    period: int
+    at: Callable[[int], int]
+
+
+def _run_cycle(machine, cap: int = _STATE_CAP) -> _Cycle | None:
+    """Drive the automaton to a state repetition: its orbit, or None when
+    that takes more than cap states."""
+    seen: dict = {}
+    residues: list[int] = []
+    while True:
+        st = machine.state()
+        if st in seen:
+            first = seen[st]
+            period = len(residues) - first
+            return _Cycle(
+                first, period, lambda n: residues[n if n < first else first + (n - first) % period]
+            )
+        if len(residues) >= cap:
+            return None
+        seen[st] = len(residues)
+        residues.append(machine.residue())
+        machine.advance()
+
+
+def _reference_summary(orbit: _Cycle, q: int) -> tuple[int, Fraction, int]:
+    """(best, norm, index) from the list of residues, as _summarize_cycle
+    defines them."""
+    first = orbit.first
+    residues = [orbit.at(n) for n in range(first + orbit.period)]
+    cycle = residues[first:]
+    if not any(cycle):
+        nz = [i for i, v in enumerate(residues) if v]
+        return 0, Fraction(0), max(nz) + 1 if nz else 0
+    best = max((v for v in cycle if v), key=lambda v: (min(v, q - v), -v))
+    return best, Fraction(min(best, q - best), q), first + cycle.index(best)
+
+
+class _CFMachine:
+    # r_n = q_n * c mod q along the convergent recurrence
+    def __init__(self, cf: CFExpansion, c: int, q: int):
+        self.cf = cf
+        self.c = c % q
+        self.q = q
+        self.prev, self.cur = 0, 1 % q
+        self.idx = 1
+
+    def state(self):
+        return (self.cf.canonical_index(self.idx), self.prev, self.cur)
+
+    def residue(self) -> int:
+        return self.cur * self.c % self.q
+
+    def advance(self):
+        a = self.cf.quotient(self.idx)
+        self.prev, self.cur = self.cur, (a * self.cur + self.prev) % self.q
+        self.idx += 1
+
+
+class _PairMachine:
+    # R_n = (cp * p_n + cq * q_n) mod L along the convergent recurrences
+    def __init__(self, cf: CFExpansion, cp: int, cq: int, L: int):
+        self.cf = cf
+        self.cp, self.cq, self.L = cp % L, cq % L, L
+        self.pprev, self.pcur = 1 % L, cf.quotient(0) % L
+        self.qprev, self.qcur = 0, 1 % L
+        self.idx = 1
+
+    def state(self):
+        return (
+            self.cf.canonical_index(self.idx),
+            self.pprev,
+            self.pcur,
+            self.qprev,
+            self.qcur,
+        )
+
+    def residue(self) -> int:
+        return (self.cp * self.pcur + self.cq * self.qcur) % self.L
+
+    def advance(self):
+        a = self.cf.quotient(self.idx)
+        self.pprev, self.pcur = self.pcur, (a * self.pcur + self.pprev) % self.L
+        self.qprev, self.qcur = self.qcur, (a * self.qcur + self.qprev) % self.L
+        self.idx += 1
 
 
 class _GeoMachine:
@@ -574,7 +669,7 @@ def _reference_machine(u, w, q):
     if isinstance(u, Factorial):
         return _FactMachine(sum(a * b for a, b in zip(u.pattern, w)), q)
     if isinstance(u, CFDenominators):
-        cf = _expansion(u.alpha)
+        cf = _cf_entry(u.alpha)[0]
         return _CFMachine(cf, w[0], q) if len(w) == 1 else _PairMachine(cf, *w, q)
     if isinstance(u, Subsequence):
         inner = _reference_machine(u.parent, w, q)
@@ -605,7 +700,14 @@ def _largest_part(u, w, q) -> int:
     return max(sizes)
 
 
-CF_ALPHAS = (GOLDEN, SQRT2M1, CirclePoint.quadratic(1, 1, 2, 3))
+# the last two have CF pre-periods: their periods start at indices 4 and 2
+CF_ALPHAS = (
+    GOLDEN,
+    SQRT2M1,
+    CirclePoint.quadratic(1, 1, 2, 3),
+    CirclePoint.quadratic(3, 1, 7, 2),
+    CirclePoint.quadratic(1, 1, 5, 7),
+)
 
 
 def _orbit_sequence(rng: random.Random, depth: int):
@@ -662,7 +764,7 @@ def test_orbit_matches_the_stepping_automata():
         reference = _run_cycle(_reference_machine(u, w, q))
         first, period = reference.first, reference.period
         residues = [reference.at(n) for n in range(first + period)]
-        summary = _summarize_cycle(reference, q)
+        summary = _reference_summary(reference, q)
         caps = rng.sample(range(1, 81), 10) if rng.random() < 0.8 else range(1, 81)
         for cap in [*caps, _STATE_CAP]:
             got = _orbit(u, w, q, cap)
@@ -670,8 +772,15 @@ def test_orbit_matches_the_stepping_automata():
                 assert got is None, (u.describe(), x, cap)
                 continue
             assert (got.first, got.period) == (first, period), (u.describe(), x, cap)
-            assert [got.at(n) for n in range(first + period)] == residues
+            assert list(islice(got.walk(0, 1), first + period)) == residues
             assert _summarize_cycle(got, q) == summary
+        got = _orbit(u, w, q)
+        for n in range(0, first + period, max(1, (first + period) // 8)):
+            assert next(got.walk(n, 1)) == residues[n], (u.describe(), x, n)
+        for _ in range(3):
+            n0, s = rng.randrange(first + period + 3), rng.randint(2, 12)
+            expected = [reference.at(n0 + i * s) for i in range(12)]
+            assert list(islice(got.walk(n0, s), 12)) == expected, (u.describe(), x, n0, s)
         v = t_membership(u, x)
         if not x.is_rational:
             assert v.is_exact and v.fact("period") == period and v.fact("modulus") == q
@@ -683,6 +792,16 @@ def test_orbit_matches_the_stepping_automata():
 
 def _automaton_cycle(start, step, q, cap):
     orbit = _run_cycle(_GeoMachine(start, step, q), cap)
+    if orbit is None:
+        return None
+    best, _, index = _reference_summary(orbit, q)
+    return orbit.first, orbit.period, best, index
+
+
+def _geometric_cycle(start, step, q, cap=_STATE_CAP):
+    """(first, period, best, index) of the closed-form orbit, through the
+    summariser."""
+    orbit = _geometric_orbit(start, step, q, cap)
     if orbit is None:
         return None
     best, _, index = _summarize_cycle(orbit, q)
@@ -725,6 +844,27 @@ def test_geometric_cycle_matches_the_automaton():
         for cap in rng.sample(range(1, 81), 10):
             expected = _automaton_cycle(start, step, q, cap)
             assert _geometric_cycle(start, step, q, cap) == expected, (start, step, q, cap)
+
+
+def test_cf_orbit_with_a_pre_period_at_every_small_cap():
+    # first = start - 1 > 0 and period = length*t, against the automata
+    rng = random.Random(20261101)
+    for alpha in CF_ALPHAS[3:]:
+        cf = _cf_entry(alpha)[0]
+        assert cf.period[0] > 1
+        for L in range(1, 200):
+            w = rng.choice(((rng.randrange(L),), (rng.randrange(L), rng.randrange(L))))
+            machine = _CFMachine(cf, w[0], L) if len(w) == 1 else _PairMachine(cf, *w, L)
+            reference = _run_cycle(machine)
+            states = reference.first + reference.period
+            residues = [reference.at(n) for n in range(states)]
+            for cap in (*range(1, 81), states - 1, states, _STATE_CAP):
+                got = _cf_orbit(cf, w, L, cap)
+                if states > cap:
+                    assert got is None, (alpha, w, L, cap)
+                    continue
+                assert (got.first, got.period) == (reference.first, reference.period)
+                assert list(islice(got.walk(0, 1), states)) == residues, (alpha, w, L)
 
 
 def test_geometric_cycle_at_every_small_cap():
