@@ -19,13 +19,14 @@ pre-period, baby-step giant-step the period.  A factorial orbit is absorbed
 at the least a with q | a!*c and then has period q.  Convergent-denominator
 orbits step by 2x2 matrices of determinant -1: past the CF pre-period they
 are purely periodic, and baby-step giant-step on the product over one CF
-period gives the period.  Strides and interleaves of these are index
-arithmetic: a stride (A, B) over (first, period) starts at the least n with
-A*n + B >= first and repeats every period/gcd(A, period); an interleave with
-blocks b_j starts once every child is in its cycle and repeats every
-sum(b_j)*lcm_j(p_j/gcd(b_j, p_j)).  One summariser reads each cycle in a
-single walk.  The state cap bounds every part of an orbit (each leaf, each
-interleave and the whole); past it the ladder scans.
+period gives the period; a strided walk reads its residues through one
+product row per quotient of that period.  Strides and interleaves of these
+are index arithmetic: a stride (A, B) over (first, period) starts at the
+least n with A*n + B >= first and repeats every period/gcd(A, period); an
+interleave with blocks b_j starts once every child is in its cycle and
+repeats every sum(b_j)*lcm_j(p_j/gcd(b_j, p_j)).  One summariser reads each
+cycle in a single walk.  The state cap bounds every part of an orbit (each
+leaf, each interleave and the whole); past it the ladder scans.
 Quadratic orbits along continued-fraction denominators are decided through
 the classical approximation bound |q_n*alpha - p_n| < 1/q_{n+1}.
 
@@ -44,7 +45,7 @@ from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, cycle, islice, repeat
 from math import factorial, gcd, isqrt, lcm
 
 from .circle import (
@@ -454,7 +455,7 @@ class Verdict:
 class _Orbit:
     """A residue orbit whose states repeat from index first with period
     period.  walk(n0, s) yields the residues at n0, n0 + s, n0 + 2s, ...
-    without end and in O(1) memory."""
+    without end, in O(1) amortised time per residue, and stores no state."""
 
     first: int
     period: int
@@ -466,11 +467,10 @@ def _summarize_cycle(orbit: _Orbit, q: int) -> tuple[int, Fraction, int]:
     (0, 0, n0) for an all-zero cycle, n0 one past the last nonzero residue;
     else the cycle residue of largest norm (smaller on ties) at its first index.
     One pass over the walk from 0; no residue is kept."""
-    first = orbit.first
     residues = orbit.walk(0, 1)
-    last = max((n + 1 for n, v in zip(range(first), residues) if v), default=0)
+    last = max((n + 1 for n, v in zip(range(orbit.first), residues) if v), default=0)
     best = top = index = 0
-    for n, v in enumerate(islice(residues, orbit.period), first):
+    for n, v in enumerate(islice(residues, orbit.period), orbit.first):
         d = q - v if v + v > q else v
         if d >= top and (d > top or v < best):
             best, index, top = v, n, d
@@ -565,39 +565,38 @@ def _quotients(cf: CFExpansion, i: int) -> Iterator[int]:
     """The quotients a_i, a_(i+1), ... of a periodic expansion."""
     start, length = cf.period
     end = start + length
-    return chain(
-        cf.quotients[cf.canonical_index(i) : end], chain.from_iterable(repeat(cf.quotients[start:end]))
-    )
+    return chain(cf.quotients[cf.canonical_index(i) : end], cycle(cf.quotients[start:end]))
 
 
 def _cf_orbit(cf: CFExpansion, w: tuple[int, ...], L: int, cap: int) -> _Orbit | None:
     """The orbit of c*q_n mod L for w = (c,), or of cp*p_n + cq*q_n for
-    w = (cp, cq), or None when first + period > cap.  The state at n is the
-    matrix with columns (p_(n-1), p_n), (q_(n-1), q_n) mod L (or the q column)
-    and the index n+1 folded into the CF period (start, length); a step
-    multiplies by [[0, 1], [1, a_(n+1)]].  States before first = max(0, start - 1)
-    never recur, and from there the orbit is purely periodic: its period is
-    length*t for the least t with M^t X = X, M the product over one CF
-    period and X the state at first."""
+    w = (cp, cq), or None when first + period > cap.  Matrices are tuples of
+    columns.  The state at n has columns (p_(n-1), p_n), (q_(n-1), q_n) mod L
+    (or only the q column) at the index n+1 folded into the CF period (start,
+    length); a step multiplies by [[0, 1], [1, a_(n+1)]].  States before
+    first = max(0, start - 1) never recur, and from there the orbit is purely
+    periodic: its period is length*t for the least t with M^t X = X, M the
+    product over one CF period and X the state at first."""
     start, length = cf.period
     first = max(0, start - 1)
     if length > cap - first:
         return None
 
-    # matrices are tuples of columns
     def mul(a, x):
         (a00, a10), (a01, a11) = a
         return tuple(((a00 * u + a01 * v) % L, (a10 * u + a11 * v) % L) for u, v in x)
 
-    def advance(x, i: int, s: int):
-        # the state at index i -> the state at i + s
-        for a in islice(_quotients(cf, i + 1), s):
+    def states(x, i: int):
+        # the states at indices i, i + 1, ... from the state x at index i
+        yield x
+        for a in _quotients(cf, i + 1):
             x = tuple((v, (a * v + u) % L) for u, v in x)
-        return x
+            yield x
 
     x0 = tuple((u % L, v % L) for u, v in ((1, cf.quotient(0)), (0, 1))[-len(w) :])
-    x_first = advance(x0, 0, first)
-    m = advance(((1, 0), (0, 1)), first, length)
+    x_first = next(islice(states(x0, 0), first, None))
+    eye = ((1, 0), (0, 1))
+    m = next(islice(states(eye, first), length, None))
     t = _order(mul, m, x_first, (cap - first) // length, L ** (2 * len(w)))
     if t is None:
         return None
@@ -611,29 +610,32 @@ def _cf_orbit(cf: CFExpansion, w: tuple[int, ...], L: int, cap: int) -> _Orbit |
             rp, rc = rc, (a * rc + rp) % L
             yield rc
 
-    def state(n: int):
-        if n < first:
-            return advance(x0, 0, n)
-        k, r = divmod(n - first, length)
-        return advance(_act(mul, m, k, x_first), first, r)
+    # offsets[r] = (b0, b1) with R_(j+r) = b0*R_(j-1) + b1*R_j whenever j =
+    # first + k*length, and jumps[dk] = [M^dk, M^(dk+1)]: built on the first
+    # strided walk that needs them, so that a strided residue costs O(1)
+    offsets: list[tuple[int, int]] = []
+    jumps: dict[int, list] = {}
 
-    def walk(n0: int, s: int) -> Iterator[int]:
-        if s <= length:
-            return islice(residues(state(n0), n0), 0, None, s)
-        return jumps(n0, s)
-
-    def jumps(n: int, s: int) -> Iterator[int]:
-        # past the pre-period, keep y = M^k X for n = first + k*length + r and
-        # jump it by whole periods; r steps from y give the state at n
+    def walk(n: int, s: int) -> Iterator[int]:
         while n < first:
-            yield next(residues(state(n), n))
+            yield next(islice(residues(x0, 0), n, None))
             n += s
         k, r = divmod(n - first, length)
-        y, (dk, dr) = _act(mul, m, k, x_first), divmod(s, length)
-        jump = [_act(mul, m, e, m) for e in (dk - 1, dk)]
+        y = _act(mul, m, k, x_first)
+        if s == 1:
+            yield from islice(residues(y, first), r, None)  # endless
+        dk, dr = divmod(s, length)
+        if not offsets:
+            offsets.extend((a[1], b[1]) for a, b in islice(states(eye, first), length))
+        if dk not in jumps:
+            jumps[dk] = [_act(mul, m, e, eye) for e in (dk, dk + 1)]
+        # jump (R_(j-1), R_j) by whole periods and read the residue at n = j + r
+        z0, z1 = (_dot(w, row) % L for row in zip(*y))
         while True:
-            yield next(islice(residues(y, first), r, None))
-            y, r = mul(jump[r + dr >= length], y), (r + dr) % length
+            b0, b1 = offsets[r]
+            yield (b0 * z0 + b1 * z1) % L
+            carry, r = divmod(r + dr, length)
+            ((z0, z1),) = mul(jumps[dk][carry], ((z0, z1),))
 
     return _Orbit(first, length * t, walk)
 
@@ -641,8 +643,8 @@ def _cf_orbit(cf: CFExpansion, w: tuple[int, ...], L: int, cap: int) -> _Orbit |
 def _orbit(u: IntVecSeq, w: tuple[int, ...], q: int, cap: int = _STATE_CAP) -> _Orbit | None:
     """The orbit n -> <u_n, w> mod q (see the module docstring), or None when
     u has finite terms or some part of it has more than cap states.  A cfden
-    root with w = (cp, cq) gives the orbit of cp*p_n + cq*q_n instead.  Every
-    part walks in O(1) memory; none stores its states."""
+    root with w = (cp, cq) gives the orbit of cp*p_n + cq*q_n instead.  No
+    part stores its states."""
     root, A, B = _chain(u)
     if isinstance(root, Constant):
         return _geometric_orbit(_dot(root.vector, w), 1, q, cap)
@@ -682,14 +684,14 @@ def _interleave_orbit(u: Interleave, w: tuple[int, ...], q: int, cap: int) -> _O
     if any(o is None for o in parts):
         return None
     first = max(u.global_index(j, o.first - 1) + 1 for j, o in enumerate(parts))
-    cycle = sum(u.blocks)
-    period = cycle * lcm(*(o.period // gcd(b, o.period) for o, b in zip(parts, u.blocks)))
+    C = sum(u.blocks)
+    period = C * lcm(*(o.period // gcd(b, o.period) for o, b in zip(parts, u.blocks)))
     if first + period > cap:
         return None
 
     def walk(n0: int, s: int) -> Iterator[int]:
-        g = gcd(s, cycle)
-        slots = map(u._locate, range(n0, n0 + cycle // g * s, s))
+        g = gcd(s, C)
+        slots = map(u._locate, range(n0, n0 + C // g * s, s))
         return chain.from_iterable(zip(*(parts[j].walk(m, u.blocks[j] * s // g) for j, m in slots)))
 
     return _Orbit(first, period, walk)
@@ -907,7 +909,9 @@ def _decide_cf_quadratic(
 
 def _decide_constant_value(value: SurdSum) -> Verdict:
     if value.is_integer():
-        return Verdict.exact_in("constant pairing = 0 (mod 1) at every index", from_index=0)
+        return Verdict.exact_in(
+            "constant pairing = 0 (mod 1) at every index", from_index=0
+        )
     if value.is_rational():
         norm = value.norm_enclosure().lower
         return Verdict.exact_out(
@@ -1054,7 +1058,9 @@ def rational_torsion_profile(
         raise TorsionError("profile requires a one-dimensional sequence")
     if max_den < 1:
         raise TorsionError("max_den must be >= 1")
-    entries, admitted, flagged = [], [], []
+    entries = []
+    admitted = []
+    flagged = []
     for q in range(1, max_den + 1):
         v = s_membership(u, (CirclePoint.rational(1, q),), policy)
         entries.append((q, v))

@@ -101,6 +101,28 @@ def test_state_cap_queries_are_fast_and_small(name, monkeypatch):
     assert peak < 5 * 2**20, peak
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "tmem-cfden-long-period-stride",
+        "tmem-cfden-long-period-pair-stride",
+        "tmem-cfden-long-period-interleave",
+    ],
+)
+def test_long_period_strided_cfden_queries_are_fast(name, monkeypatch):
+    # strides and blocks of about one CF period (21032 quotients): a strided
+    # cfden residue is read through one product row, not stepped quotient by
+    # quotient, so these take well under a second instead of hours
+    for key in list(os.environ):
+        if key.startswith("GCLOSE_"):
+            monkeypatch.delenv(key)
+    started = time.perf_counter()
+    text = render(dict(CASES)[name])
+    elapsed = time.perf_counter() - started
+    assert text == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+    assert elapsed < 2.0, elapsed
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py record")

@@ -865,6 +865,13 @@ def test_cf_orbit_with_a_pre_period_at_every_small_cap():
                     continue
                 assert (got.first, got.period) == (reference.first, reference.period)
                 assert list(islice(got.walk(0, 1), states)) == residues, (alpha, w, L)
+            # strides below, at and past the CF period length, from the
+            # pre-period and from inside the cycle
+            length = cf.period[1]
+            for s in (2, length, length + 1, 2 * length + 3, 5 * states + 1):
+                for n0 in (0, 1, rng.randrange(states + 3)):
+                    expected = [reference.at(n0 + i * s) for i in range(9)]
+                    assert list(islice(got.walk(n0, s), 9)) == expected, (alpha, w, L, n0, s)
 
 
 def test_geometric_cycle_at_every_small_cap():
