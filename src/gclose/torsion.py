@@ -601,10 +601,9 @@ def _cf_orbit(cf: CFExpansion, w: tuple[int, ...], L: int, cap: int) -> _Orbit |
     if t is None:
         return None
 
-    def residues(x, i: int) -> Iterator[int]:
-        # every residue from the state x at index i on, by the scalar
-        # recurrence R_n = a_n*R_(n-1) + R_(n-2) that they all share
-        rp, rc = (_dot(w, row) % L for row in zip(*x))
+    def residues(i: int, rp: int, rc: int) -> Iterator[int]:
+        # R_i, R_(i+1), ... from (R_(i-1), R_i) = (rp, rc), by the scalar
+        # recurrence R_n = a_n*R_(n-1) + R_(n-2) that every residue obeys
         yield rc
         for a in _quotients(cf, i + 1):
             rp, rc = rc, (a * rc + rp) % L
@@ -615,27 +614,28 @@ def _cf_orbit(cf: CFExpansion, w: tuple[int, ...], L: int, cap: int) -> _Orbit |
     # strided walk that needs them, so that a strided residue costs O(1)
     offsets: list[tuple[int, int]] = []
     jumps: dict[int, list] = {}
+    head = [_dot(w, row) % L for row in zip(*x0)]  # (R_(-1), R_0)
 
     def walk(n: int, s: int) -> Iterator[int]:
         while n < first:
-            yield next(islice(residues(x0, 0), n, None))
+            yield next(islice(residues(0, *head), n, None))
             n += s
         k, r = divmod(n - first, length)
-        y = _act(mul, m, k, x_first)
+        z0, z1 = (_dot(w, row) % L for row in zip(*_act(mul, m, k, x_first)))
         if s == 1:
-            yield from islice(residues(y, first), r, None)  # endless
+            yield from islice(residues(first, z0, z1), r, None)  # endless
         dk, dr = divmod(s, length)
         if not offsets:
-            offsets.extend((a[1], b[1]) for a, b in islice(states(eye, first), length))
+            offsets.extend(zip(*(islice(residues(first, *e), length) for e in eye)))
         if dk not in jumps:
             jumps[dk] = [_act(mul, m, e, eye) for e in (dk, dk + 1)]
         # jump (R_(j-1), R_j) by whole periods and read the residue at n = j + r
-        z0, z1 = (_dot(w, row) % L for row in zip(*y))
         while True:
             b0, b1 = offsets[r]
             yield (b0 * z0 + b1 * z1) % L
             carry, r = divmod(r + dr, length)
-            ((z0, z1),) = mul(jumps[dk][carry], ((z0, z1),))
+            (a00, a10), (a01, a11) = jumps[dk][carry]
+            z0, z1 = (a00 * z0 + a01 * z1) % L, (a10 * z0 + a11 * z1) % L
 
     return _Orbit(first, length * t, walk)
 
