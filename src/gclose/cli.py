@@ -160,6 +160,10 @@ def parse_fraction(text: str, base: int = 0) -> Fraction:
             e = int(exp)
         except ValueError:
             raise ParseError(f"bad exponent {exp!r}", base + 2) from None
+        # 2^|e| has more than `limit` digits exactly when 2^|e| >= 10^limit
+        limit = sys.get_int_max_str_digits()
+        if limit and abs(e) >= (10**limit).bit_length():
+            raise ParseError(f"2^{abs(e)} has more than {limit} digits", base + 2)
         return Fraction(2) ** e
     if "/" in t:
         num, _, den = t.partition("/")

@@ -3,7 +3,9 @@ which circle-group elements they annihilate in the limit.
 
 A sequence u = (u_n) of integer vectors acts on a point x (one CirclePoint
 per coordinate) by n |-> <u_n, x> mod 1.  Membership of x in s_u means this
-scalar orbit converges to 0 in R/Z.  Verdicts come in three strengths:
+scalar orbit converges to 0 in R/Z.  Sequences walk their terms: walk(n0, s)
+yields u_n0, u_(n0+s), ..., each built from the one before, and a finite
+sequence's walk ends after its last term.  Verdicts come in three strengths:
 
 * Exact: decided, with a finitely checkable reason (an eventual-zero index,
   or an escaping residue that recurs with a stated period).
@@ -31,12 +33,13 @@ Quadratic orbits along continued-fraction denominators are decided through
 the classical approximation bound |q_n*alpha - p_n| < 1/q_{n+1}.
 
 One function, _verify_terms, evaluates every certificate claim.  For a
-sequence u on Z^k, generators h and N >= 1 terms it checks exactly, for
-each n < N: u_n = eval_seq(u, n) is a nonzero vector of length k;
-norm(<u_n, h>) <= 2^-n for every h; given an escape character chi,
-len(chi) = k, 0 < delta <= 1/2 and norm(<u_n, chi>) >= delta.  Producers
-run it on their own output; re-checkers run it and compare each stored
-index, term, envelope and threshold with n, u_n, 2^-n and delta.
+sequence u on Z^k, generators h and N >= 1 terms it reads u_0, ..., u_(N-1)
+from walk(0, 1) and checks exactly, for each n < N: u_n exists and is a
+nonzero vector of length k; norm(<u_n, h>) <= 2^-n for every h; given an
+escape character chi, len(chi) = k, 0 < delta <= 1/2 and norm(<u_n, chi>)
+>= delta.  Producers run it on their own output; re-checkers run it and
+compare each stored index, term, envelope and threshold with n, u_n, 2^-n
+and delta.
 """
 
 from __future__ import annotations
@@ -45,8 +48,8 @@ from collections import OrderedDict, deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, cycle, islice, repeat
-from math import factorial, gcd, isqrt, lcm
+from itertools import accumulate, chain, count, cycle, islice, repeat
+from math import factorial, gcd, isqrt, lcm, prod
 
 from .circle import (
     BoundedExpansionError,
@@ -102,17 +105,18 @@ class TorsionError(ValueError):
 
 
 class IntVecSeq:
-    """Total function n -> u_n in Z^k (finite generators carry a horizon)."""
+    """Integer vectors u_0, u_1, ... in Z^k, read in order by walk."""
+
+    # whether the walk ends; only Explicit leaves end
+    is_finite = False
 
     def dimension(self) -> int:
         raise NotImplementedError
 
-    def term(self, n: int) -> tuple[int, ...]:
+    def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
+        """u_n0, u_(n0+s), u_(n0+2s), ..., each built from the one before;
+        the walk of a finite sequence ends after its last term."""
         raise NotImplementedError
-
-    def horizon(self) -> int | None:
-        """Number of defined terms, or None when the sequence is infinite."""
-        return None
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -137,9 +141,11 @@ class Geometric(IntVecSeq):
     def dimension(self) -> int:
         return len(self.pattern)
 
-    def term(self, n: int) -> tuple[int, ...]:
-        m = self.base**n
-        return tuple(m * p for p in self.pattern)
+    def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
+        m, jump = self.base**n0, self.base**s
+        while True:
+            yield tuple(m * p for p in self.pattern)
+            m *= jump
 
     def describe(self) -> str:
         if self.pattern == (1,):
@@ -160,9 +166,11 @@ class Factorial(IntVecSeq):
     def dimension(self) -> int:
         return len(self.pattern)
 
-    def term(self, n: int) -> tuple[int, ...]:
-        f = factorial(n)
-        return tuple(f * p for p in self.pattern)
+    def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
+        f = factorial(n0)
+        for n in count(n0 + 1, s):
+            yield tuple(f * p for p in self.pattern)
+            f *= prod(range(n, n + s))
 
     def describe(self) -> str:
         if self.pattern == (1,):
@@ -170,30 +178,20 @@ class Factorial(IntVecSeq):
         return f"fact*({','.join(map(str, self.pattern))})"
 
 
-# Continued fraction and convergent denominators q_0, q_1, ... of the
-# _CF_CACHE_SIZE points used most recently, least recent first.
+# Continued fractions of the _CF_CACHE_SIZE points used most recently,
+# least recent first.
 _CF_CACHE_SIZE = 256
-_CF_CACHE: OrderedDict[CirclePoint, tuple[CFExpansion, list[int]]] = OrderedDict()
+_CF_CACHE: OrderedDict[CirclePoint, CFExpansion] = OrderedDict()
 
 
-def _cf_entry(alpha: CirclePoint) -> tuple[CFExpansion, list[int]]:
-    entry = _CF_CACHE.get(alpha)
-    if entry is not None:
+def _cf_entry(alpha: CirclePoint) -> CFExpansion:
+    if alpha in _CF_CACHE:
         _CF_CACHE.move_to_end(alpha)
-        return entry
-    entry = _CF_CACHE[alpha] = cf_expand(alpha), [1]  # q_0 = 1 regardless of the expansion
-    if len(_CF_CACHE) > _CF_CACHE_SIZE:
-        _CF_CACHE.popitem(last=False)
-    return entry
-
-
-def _q_denominator(alpha: CirclePoint, n: int) -> int:
-    cf, qs = _cf_entry(alpha)
-    while len(qs) <= n:
-        i = len(qs)
-        prev = qs[i - 2] if i >= 2 else 0  # q_{-1} = 0
-        qs.append(cf.quotient(i) * qs[i - 1] + prev)
-    return qs[n]
+    else:
+        _CF_CACHE[alpha] = cf_expand(alpha)
+        if len(_CF_CACHE) > _CF_CACHE_SIZE:
+            _CF_CACHE.popitem(last=False)
+    return _CF_CACHE[alpha]
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,12 @@ class CFDenominators(IntVecSeq):
     def dimension(self) -> int:
         return 1
 
-    def term(self, n: int) -> tuple[int, ...]:
-        return (_q_denominator(self.alpha, n),)
+    def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
+        # (q_(n-1), q_n) from (q_(-1), q_0) = (0, 1), whatever the expansion
+        pairs = accumulate(
+            _quotients(_cf_entry(self.alpha), 1), lambda r, a: (r[1], a * r[1] + r[0]), initial=(0, 1)
+        )
+        return ((q,) for _, q in islice(pairs, n0, None, s))
 
     def describe(self) -> str:
         return f"cfden:{self.alpha}"
@@ -218,9 +220,10 @@ class CFDenominators(IntVecSeq):
 
 @dataclass(frozen=True)
 class Explicit(IntVecSeq):
-    """Finite list of terms; evaluation past the horizon is an error."""
+    """Finite list of terms."""
 
     terms: tuple[tuple[int, ...], ...]
+    is_finite = True
 
     def __post_init__(self):
         if not self.terms:
@@ -232,15 +235,8 @@ class Explicit(IntVecSeq):
     def dimension(self) -> int:
         return len(self.terms[0])
 
-    def term(self, n: int) -> tuple[int, ...]:
-        if n >= len(self.terms):
-            raise BoundedExpansionError(
-                f"explicit sequence has {len(self.terms)} terms, index {n} requested"
-            )
-        return self.terms[n]
-
-    def horizon(self) -> int | None:
-        return len(self.terms)
+    def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
+        return iter(self.terms[n0::s])
 
     def describe(self) -> str:
         body = ";".join(",".join(map(str, t)) for t in self.terms)
@@ -260,8 +256,8 @@ class Constant(IntVecSeq):
     def dimension(self) -> int:
         return len(self.vector)
 
-    def term(self, n: int) -> tuple[int, ...]:
-        return self.vector
+    def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
+        return repeat(self.vector)
 
     def describe(self) -> str:
         return f"const:{','.join(map(str, self.vector))}"
@@ -284,16 +280,12 @@ class Subsequence(IntVecSeq):
     def dimension(self) -> int:
         return self.parent.dimension()
 
-    def term(self, n: int) -> tuple[int, ...]:
-        return self.parent.term(self.stride * n + self.offset)
+    @property
+    def is_finite(self) -> bool:
+        return self.parent.is_finite
 
-    def horizon(self) -> int | None:
-        h = self.parent.horizon()
-        if h is None:
-            return None
-        if h <= self.offset:
-            return 0
-        return (h - 1 - self.offset) // self.stride + 1
+    def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
+        return self.parent.walk(self.offset + self.stride * n0, self.stride * s)
 
     def describe(self) -> str:
         return f"sub({self.stride},{self.offset}):{self.parent.describe()}"
@@ -338,17 +330,25 @@ class Interleave(IntVecSeq):
         c, p = divmod(m, b)
         return c * cycle + sum(self.blocks[:child]) + p
 
-    def term(self, n: int) -> tuple[int, ...]:
-        j, m = self._locate(n)
-        return self.children[j].term(m)
+    @property
+    def is_finite(self) -> bool:
+        return any(c.is_finite for c in self.children)
 
-    def horizon(self) -> int | None:
-        finite = [
-            self.global_index(j, h)
-            for j, c in enumerate(self.children)
-            if (h := c.horizon()) is not None
-        ]
-        return min(finite) if finite else None
+    def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
+        """One walk per child, started once and advanced to each local index
+        asked; it ends where a child has no term.  A finite interleave walks
+        in order from 0, so that no ended child is stepped over."""
+        if self.is_finite and (n0, s) != (0, 1):
+            yield from islice(self.walk(0, 1), n0, None, s)
+            return
+        walks = {}
+        for j, m in map(self._locate, count(n0, s)):
+            walk, at = walks.get(j) or (self.children[j].walk(m, 1), m)
+            term = next(islice(walk, m - at, None), None)
+            if term is None:
+                return
+            walks[j] = walk, m + 1
+            yield term
 
     def describe(self) -> str:
         body = ";".join(
@@ -358,10 +358,12 @@ class Interleave(IntVecSeq):
 
 
 def eval_seq(u: IntVecSeq, n: int) -> tuple[int, ...]:
-    """u_n, exactly.  Explicit generators error beyond their horizon."""
+    """u_n, exactly: the first term of walk(n, 1), an error past the end."""
     if n < 0:
         raise TorsionError("sequence index must be >= 0")
-    return u.term(n)
+    for term in u.walk(n, 1):
+        return term
+    raise BoundedExpansionError(f"{u.describe()} has no term at index {n}")
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +644,7 @@ def _cf_orbit(cf: CFExpansion, w: tuple[int, ...], L: int, cap: int) -> _Orbit |
 
 def _orbit(u: IntVecSeq, w: tuple[int, ...], q: int, cap: int = _STATE_CAP) -> _Orbit | None:
     """The orbit n -> <u_n, w> mod q (see the module docstring), or None when
-    u has finite terms or some part of it has more than cap states.  A cfden
+    u is finite or some part of it has more than cap states.  A cfden
     root with w = (cp, cq) gives the orbit of cp*p_n + cq*q_n instead.  No
     part stores its states."""
     root, A, B = _chain(u)
@@ -660,7 +662,7 @@ def _orbit(u: IntVecSeq, w: tuple[int, ...], q: int, cap: int = _STATE_CAP) -> _
             first, q, lambda n0, s: chain(islice(_factorial_residues(c, q), n0, None, s), repeat(0))
         )
     elif isinstance(root, CFDenominators):
-        orbit = _cf_orbit(_cf_entry(root.alpha)[0], w, q, cap)
+        orbit = _cf_orbit(_cf_entry(root.alpha), w, q, cap)
     elif isinstance(root, Interleave):
         orbit = _interleave_orbit(root, w, q, cap)
     else:
@@ -737,11 +739,9 @@ def _upper(bracket: tuple[int, int, int], tol: Fraction) -> Fraction:
     return Fraction(-(-hi * grid // (scale * tn)) * tn, grid)
 
 
-def _tail_scan(
-    brackets: Iterable[tuple[int, int, int]], horizon: int, tol: Fraction
-) -> Verdict:
+def _tail_scan(brackets: Iterable[tuple[int, int, int]], tol: Fraction) -> Verdict:
     """Verdict on the norm brackets (lo, hi, scale) of terms 0, 1, ..., read
-    as they stream in.  The tail follows the last term whose upper bound
+    as they stream in, up to the horizon n where they stop.  The tail follows the last term whose upper bound
     hi/scale exceeds tol, tested in integers as hi*tol.den > tol.num*scale.
     Only reported bounds become Fractions, by ``_upper``: the tail's worst,
     the 16-entry trace and the offending term."""
@@ -761,17 +761,17 @@ def _tail_scan(
     trace = tuple((i, _upper(b, tol)) for i, b in last)
     if n - t >= min(16, n):
         return Verdict.certified(
-            horizon,
+            n,
             worst,
             trace,
-            f"all pairing norms <= {tol} from index {t} up to horizon {horizon}",
+            f"all pairing norms <= {tol} from index {t} up to horizon {n}",
             tail_start=t,
         )
     i, upper = bad[0], _upper(bad[1], tol)
     return Verdict.undecided(
         f"pairing norm {upper} exceeds tolerance {tol} at index {i} "
-        f"(horizon {horizon})",
-        horizon=horizon,
+        f"(horizon {n})",
+        horizon=n,
         worst=upper,
         trace=trace,
         offending_index=i,
@@ -779,36 +779,38 @@ def _tail_scan(
 
 
 def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
-    h = u.horizon()
-    if h == 0:
+    """Exact In when the pairings vanish from some index t on, else the scan
+    of all h terms.  A pass pairs every term only when the last pairing is 0."""
+    end = deque(enumerate(u.walk(0, 1), 1), maxlen=1)
+    if not end:
         return Verdict.exact_in(
             "sequence defines no terms; convergence holds vacuously",
             from_index=0,
             sequence_horizon=0,
         )
-    t = h
-    while t > 0 and pair(u.term(t - 1), x).is_integer():
-        t -= 1
-    if t < h:
-        return Verdict.exact_in(
-            f"pairing = 0 (mod 1) from index {t} through the final index {h - 1} "
-            f"of a finite sequence",
-            from_index=t,
-            sequence_horizon=h,
-        )
-    return _scan(u, x, Policy(h, policy.tolerance))
+    h, last = end[0]
+    if not pair(last, x).is_integer():
+        return _scan(u, x, Policy(h, policy.tolerance))
+    t = max((n for n, v in enumerate(u.walk(0, 1), 1) if not pair(v, x).is_integer()), default=0)
+    return Verdict.exact_in(
+        f"pairing = 0 (mod 1) from index {t} through the final index {h - 1} "
+        f"of a finite sequence",
+        from_index=t,
+        sequence_horizon=h,
+    )
 
 
 def _scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
     """Stream the norm brackets of the first policy.horizon pairings, at
     tolerance/4, through one root table."""
-    n, tol, roots = policy.horizon, policy.tolerance / 4, {}
-    brackets = (pair(u.term(i), x).norm_bracket(tol, roots) for i in range(n))
-    return _tail_scan(brackets, n, policy.tolerance)
+    tol, roots = policy.tolerance / 4, {}
+    terms = islice(u.walk(0, 1), policy.horizon)
+    return _tail_scan((pair(t, x).norm_bracket(tol, roots) for t in terms), policy.tolerance)
 
 
 def _chain(u: IntVecSeq) -> tuple[IntVecSeq, int, int]:
-    """(root, A, B) with u.term(n) == root.term(A*n + B) for every n."""
+    """(root, A, B) with u_n = root_(A*n+B) for every n: u.walk(n0, s) is
+    root.walk(A*n0 + B, A*s)."""
     A, B = 1, 0
     while isinstance(u, Subsequence):
         A, B = A * u.stride, u.stride * B + u.offset
@@ -887,9 +889,7 @@ def _decide_cf_quadratic(
         )
     # past the tail index the CF perturbation is below vnorm/2
     threshold = 2 * abs(m) / vnorm
-    M = 0
-    while Fraction(_q_denominator(root.alpha, M)) < threshold:
-        M += 1
+    M = next(n for n, (q,) in enumerate(root.walk(0, 1)) if q >= threshold)
     # escape indices idx + t*period once A*n + B + 1 >= M
     lowest = max(idx, 0 if B + 1 >= M else -((B + 1 - M) // A))
     e0 = idx + (-(-(lowest - idx) // period)) * period if lowest > idx else idx
@@ -1001,11 +1001,10 @@ def s_membership(
 
 
 def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
-    if isinstance(u, Interleave) and u.horizon() is None:
-        verdicts = [_decide(c, x, policy) for c in u.children]
-        return _combine_interleave(u, verdicts)
-    if u.horizon() is not None:
+    if u.is_finite:
         return _finite_scan(u, x, policy)
+    if isinstance(u, Interleave):
+        return _combine_interleave(u, [_decide(c, x, policy) for c in u.children])
     if all(p.is_rational for p in x):
         return _decide_rational(u, x, policy)
     root, A, B = _chain(u)
@@ -1132,8 +1131,7 @@ def _verify_terms(
         return None
     checked = []
     try:
-        for n in range(count):
-            term = eval_seq(seq, n)
+        for n, term in enumerate(islice(seq.walk(0, 1), count)):
             if len(term) != k or not any(term):
                 return None
             envelope = Fraction(1, 2**n)
@@ -1149,9 +1147,9 @@ def _verify_terms(
                 if escape.norm_cmp(delta) < 0:
                     return None
             checked.append((term, tuple(values), escape))
-    except ValueError:  # a finite sequence ended early, or a malformed point
+    except ValueError:  # a malformed point
         return None
-    return checked
+    return checked if len(checked) == count else None  # None if seq ended early
 
 
 def _null_terms(checked) -> tuple[NullTermCert, ...]:

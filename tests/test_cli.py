@@ -50,6 +50,7 @@ from gclose.torsion import (
     Geometric,
     Interleave,
     Subsequence,
+    eval_seq,
 )
 from gclose.witness import check_witness
 
@@ -170,10 +171,10 @@ def test_parse_seq_forms():
     assert parse_seq("list:1,2;3,4") == Explicit(((1, 2), (3, 4)))
     u = parse_seq("cfden:quad:(-1+1*sqrt(5))/2")
     assert isinstance(u, CFDenominators)
-    assert [u.term(n)[0] for n in range(5)] == [1, 1, 2, 3, 5]
+    assert [eval_seq(u, n)[0] for n in range(5)] == [1, 1, 2, 3, 5]
     sub = parse_seq("sub(3,1):cfden:quad:(-1+1*sqrt(5))/2")
     assert isinstance(sub, Subsequence) and (sub.stride, sub.offset) == (3, 1)
-    assert [sub.term(n)[0] for n in range(4)] == [1, 5, 21, 89]
+    assert [eval_seq(sub, n)[0] for n in range(4)] == [1, 5, 21, 89]
     inter = parse_seq("interleave(geom:2@2;fact@1)")
     assert isinstance(inter, Interleave) and inter.blocks == (2, 1)
 

@@ -62,7 +62,6 @@ from gclose.torsion import (
     _geometric_orbit,
     _orbit,
     _orbit_verdict,
-    _q_denominator,
     _scan,
     _summarize_cycle,
 )
@@ -158,7 +157,7 @@ def test_chain_composes_nested_strides():
     # sub(a,b):v reads v at a*n+b, so an inner sub(c,d) reads the root at
     # c*(a*n+b)+d: A = a*c, B = c*b+d
     u = Subsequence(Subsequence(Geometric(2), 3, 0), 2, 1)
-    assert _chain(u) == (Geometric(2), 6, 3) and u.term(0) == (8,)
+    assert _chain(u) == (Geometric(2), 6, 3) and eval_seq(u, 0) == (8,)
     rng = random.Random(20261024)
     roots = (Geometric(3), Factorial(), CFDenominators(GOLDEN), Constant((5,)))
     for _ in range(200):
@@ -169,7 +168,7 @@ def test_chain_composes_nested_strides():
         chained, A, B = _chain(u)
         assert chained is root
         for n in range(4):
-            assert u.term(n) == root.term(A * n + B), (u.describe(), n)
+            assert eval_seq(u, n) == eval_seq(root, A * n + B), (u.describe(), n)
 
 
 # membership: frozen examples ---------------------------------------------------
@@ -372,7 +371,7 @@ def reference_scan(u, x, policy: Policy) -> Verdict:
     tol, n = policy.tolerance, policy.horizon
     uppers = []
     for i in range(n):
-        lo, hi, scale = reference_norm_bracket(pair(u.term(i), x), tol / 4)
+        lo, hi, scale = reference_norm_bracket(pair(eval_seq(u, i), x), tol / 4)
         upper = Fraction(hi, scale)
         uppers.append(upper if lo == hi else math.ceil(upper / (tol / 8)) * (tol / 8))
     t = n
@@ -437,7 +436,7 @@ def test_scan_brackets_match_the_per_term_reference():
         tol = Fraction(1, rng.choice((3, 2**4, 2**8, 2**20, 2**40)))
         roots = {}
         for i in range(h):
-            value = pair(seq.term(i), x)
+            value = pair(eval_seq(seq, i), x)
             assert value.norm_bracket(tol / 4, roots) == reference_norm_bracket(value, tol / 4), (
                 seq, x, i,
             )
@@ -476,11 +475,12 @@ def test_scan_takes_a_root_per_doubling_not_per_term(monkeypatch):
 def test_continued_fraction_cache_keeps_the_latest_points():
     points = [CirclePoint.quadratic(1, 1, c, 2) for c in range(3, 303)]
     for alpha in points:
-        assert _q_denominator(alpha, 3) == convergent_denominators(cf_expand(alpha), 4)[3]
+        assert eval_seq(CFDenominators(alpha), 3)[0] == convergent_denominators(cf_expand(alpha), 4)[3]
     assert len(_CF_CACHE) <= _CF_CACHE_SIZE == 256
+    assert all(isinstance(cf, CFExpansion) for cf in _CF_CACHE.values())
     assert points[0] not in _CF_CACHE and points[-256] in _CF_CACHE
     _cf_entry(points[-256])  # a hit makes it the most recent
-    _q_denominator(CirclePoint.quadratic(1, 1, 303, 2), 0)
+    eval_seq(CFDenominators(CirclePoint.quadratic(1, 1, 303, 2)), 0)
     assert points[-256] in _CF_CACHE and points[-255] not in _CF_CACHE
 
 
@@ -669,7 +669,7 @@ def _reference_machine(u, w, q):
     if isinstance(u, Factorial):
         return _FactMachine(sum(a * b for a, b in zip(u.pattern, w)), q)
     if isinstance(u, CFDenominators):
-        cf = _cf_entry(u.alpha)[0]
+        cf = _cf_entry(u.alpha)
         return _CFMachine(cf, w[0], q) if len(w) == 1 else _PairMachine(cf, *w, q)
     if isinstance(u, Subsequence):
         inner = _reference_machine(u.parent, w, q)
@@ -850,7 +850,7 @@ def test_cf_orbit_with_a_pre_period_at_every_small_cap():
     # first = start - 1 > 0 and period = length*t, against the automata
     rng = random.Random(20261101)
     for alpha in CF_ALPHAS[3:]:
-        cf = _cf_entry(alpha)[0]
+        cf = _cf_entry(alpha)
         assert cf.period[0] > 1
         for L in range(1, 200):
             w = rng.choice(((rng.randrange(L),), (rng.randrange(L), rng.randrange(L))))
