@@ -115,8 +115,8 @@ MAX_RADICAND = 10**12
 MAX_SEQ_DEPTH = 64
 
 # Largest --horizon / GCLOSE_HORIZON: a scan of n! at an irrational point
-# takes about 3.5 s at this bound (2-core host, CPython 3.11.7), and the
-# terms' bit length grows as n log n.
+# takes about 1.5 s at this bound (shared 2-core host, CPython 3.11.7), and
+# the terms' bit length grows as n log n.
 MAX_HORIZON = 4096
 
 # Largest --max-den: a profile decides every denominator up to it.  A cfden

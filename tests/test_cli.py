@@ -129,6 +129,38 @@ def test_parse_fraction_forms():
         parse_fraction("x/y")
 
 
+@pytest.fixture
+def int_digit_limit():
+    """Set the interpreter's integer string-conversion limit for one test."""
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+def test_power_of_two_literal_past_the_digit_limit_is_positioned(int_digit_limit, capsys):
+    # 2^14284 has 4300 digits and 2^14285 has 4301; the power is refused
+    # before it is built, and the message names the exponent's position
+    int_digit_limit(4300)
+    assert parse_fraction("2^-14284") == Fraction(1, 2**14284)
+    assert parse_fraction("2^14284") == 2**14284
+    for text in ("2^-14285", "2^14285"):
+        with pytest.raises(ParseError, match=r"2\^14285 has more than 4300 digits") as e:
+            parse_fraction(text, 7)
+        assert e.value.position == 9
+    for argv, k in (
+        (["witness", "--gens", "1/3", "--chi", "1/2", "--delta", "2^-20000"], 20000),
+        (["tmem", "--seq", "geom:2", "--point", "1/3", "--tolerance", "2^-100000"], 100000),
+    ):
+        started = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - started < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"gclose: error: at position 2: 2^{k} has more than 4300 digits\n"
+    int_digit_limit(0)  # no limit: any exponent is built
+    assert parse_fraction("2^-20000") == Fraction(1, 2**20000)
+
+
 def test_parse_point_vector_and_char_list():
     vec = parse_point_vector("1/2,quad:(-1+1*sqrt(5))/2")
     assert vec == (CirclePoint.rational(1, 2), GOLDEN)

@@ -171,6 +171,134 @@ def test_chain_composes_nested_strides():
             assert eval_seq(u, n) == eval_seq(root, A * n + B), (u.describe(), n)
 
 
+# reference terms: random access to u_n and the horizon index arithmetic, one
+# index at a time, against which the walks are checked
+
+
+def reference_term(u, n: int) -> tuple[int, ...]:
+    """u_n by random access; an Explicit list errors past its last term."""
+    if isinstance(u, Geometric):
+        m = u.base**n
+        return tuple(m * p for p in u.pattern)
+    if isinstance(u, Factorial):
+        f = math.factorial(n)
+        return tuple(f * p for p in u.pattern)
+    if isinstance(u, CFDenominators):
+        return (convergent_denominators(cf_expand(u.alpha), n + 1)[n],)
+    if isinstance(u, Explicit):
+        if n >= len(u.terms):
+            raise BoundedExpansionError(
+                f"explicit sequence has {len(u.terms)} terms, index {n} requested"
+            )
+        return u.terms[n]
+    if isinstance(u, Constant):
+        return u.vector
+    if isinstance(u, Subsequence):
+        return reference_term(u.parent, u.stride * n + u.offset)
+    j, m = u._locate(n)
+    return reference_term(u.children[j], m)
+
+
+def reference_horizon(u) -> int | None:
+    """Number of defined terms, or None when the sequence is infinite."""
+    if isinstance(u, Explicit):
+        return len(u.terms)
+    if isinstance(u, Subsequence):
+        h = reference_horizon(u.parent)
+        if h is None:
+            return None
+        if h <= u.offset:
+            return 0
+        return (h - 1 - u.offset) // u.stride + 1
+    if isinstance(u, Interleave):
+        finite = [
+            u.global_index(j, h)
+            for j, c in enumerate(u.children)
+            if (h := reference_horizon(c)) is not None
+        ]
+        return min(finite) if finite else None
+    return None
+
+
+def _walk_tree(rng: random.Random, depth: int):
+    """Nested strides and interleaves over every leaf kind; short lists and
+    offsets up to 6 make finite children end mid-round and offsets pass the
+    end."""
+    kinds = ("geom", "fact", "cfden", "list", "const", "sub", "interleave")
+    kind = rng.choice(kinds if depth else kinds[:5])
+    pattern = (rng.choice((1, -2, 3)),)
+    if kind == "geom":
+        return Geometric(rng.randint(2, 5), pattern)
+    if kind == "fact":
+        return Factorial(pattern)
+    if kind == "cfden":
+        return CFDenominators(rng.choice((GOLDEN, SQRT2M1, CirclePoint.quadratic(1, 1, 5, 7))))
+    if kind == "list":
+        return Explicit(tuple((rng.randint(-9, 9),) for _ in range(rng.randint(1, 5))))
+    if kind == "const":
+        return Constant((rng.randint(-3, 3),))
+    if kind == "sub":
+        return Subsequence(_walk_tree(rng, depth - 1), rng.randint(1, 3), rng.randint(0, 6))
+    children = tuple(_walk_tree(rng, depth - 1) for _ in range(rng.randint(1, 3)))
+    return Interleave(children, tuple(rng.randint(1, 3) for _ in children))
+
+
+def test_walks_match_the_reference_terms_and_horizons():
+    rng = random.Random(20261102)
+    seen = {"finite": 0, "empty": 0, "mid-round": 0}
+    for _ in range(600):
+        u = _walk_tree(rng, 3)
+        h = reference_horizon(u)
+        assert u.is_finite == (h is not None), u.describe()
+        if h is not None:
+            seen["finite"] += 1
+            seen["empty"] += h == 0
+            seen["mid-round"] += isinstance(u, Interleave) and h % sum(u.blocks) != 0
+            assert sum(1 for _ in islice(u.walk(0, 1), h + 1)) == h, u.describe()
+        starts = {0, 1, rng.randrange(12)} | ({h, h + 2} if h is not None else set())
+        for n0 in starts:
+            for s in {1, 2, rng.randint(1, 7)}:
+                if h is None:
+                    expected = [reference_term(u, n0 + i * s) for i in range(12)]
+                    got = list(islice(u.walk(n0, s), 12))
+                else:
+                    expected = [reference_term(u, n) for n in range(n0, h, s)]
+                    got = list(islice(u.walk(n0, s), len(expected) + 1))
+                assert got == expected, (u.describe(), n0, s)
+        for n in range(16 if h is None else h + 3):
+            if h is not None and n >= h:
+                with pytest.raises(BoundedExpansionError):
+                    eval_seq(u, n)
+            else:
+                assert eval_seq(u, n) == reference_term(u, n), (u.describe(), n)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_interleave_walk_ends_mid_round():
+    u = Interleave((Constant((5,)), Explicit(((1,), (2,), (3,)))), (1, 1))
+    assert [t for (t,) in u.walk(0, 1)] == [5, 1, 5, 2, 5, 3, 5]
+    assert reference_horizon(u) == 7
+    assert [t for (t,) in u.walk(1, 2)] == [1, 2, 3] and list(u.walk(7, 1)) == []
+
+
+def test_interleave_walks_start_each_child_once():
+    # one walk per child, advanced in order: no walk per interleave slot
+    # (a block of 10^9 would make 10^9 of them) and no restart per term
+    # (which re-runs the cfden recurrence from q_0)
+    x = CirclePoint.quadratic(0, 1, 2, 2)
+    cases = [
+        (Subsequence(Interleave((CFDenominators(GOLDEN), Geometric(3)), (1, 1)), 2, 0), 4096, 4096),
+        (Interleave((CFDenominators(GOLDEN), Explicit(((1,),))), (512, 1)), 512, 1025),
+        (Interleave((Explicit(((1,),)), Geometric(2)), (10**9, 1)), 512, 1),
+    ]
+    for u, horizon, h in cases:
+        started = time.perf_counter()
+        v = t_membership(u, x, Policy(horizon=horizon))
+        assert time.perf_counter() - started < 1, u.describe()
+        assert v.status == "undecided" and v.horizon == h, (u.describe(), v)
+        assert v.fact("offending_index") == h - 1, (u.describe(), v)
+
+
 # membership: frozen examples ---------------------------------------------------
 
 
@@ -1144,6 +1272,9 @@ def test_null_certificate_tamper_detected():
             out.certificate.terms[:1] + out.certificate.terms[2:],
         ))),
         "empty certificate": (third, forged()),
+        "sequence one term short": (t, NullSequenceResult(
+            Explicit(tuple(tc.term for tc in out.certificate.terms[:-1])), out.certificate
+        )),
     }
     for name, (topology, bad) in tampered.items():
         assert not recheck_null_certificate(topology, bad), name

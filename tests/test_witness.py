@@ -186,11 +186,14 @@ def test_check_witness_rejects_tampering():
         tuple(replace(tc, term=tc.term + (0,)) for tc in w.escape_certificate),
         w.strategy,
     )
+    # the sequence ends one term before its certificates do
+    short = replace(w, sequence=Explicit(tuple(tc.term for tc in w.null_certificate[:-1])))
     tampered = {
         "escape threshold raised": (worse, chi),
         "envelopes shrunk": (shifted, chi),
         "chi with three coordinates on Z^1": (w, chi + (rat(0), rat(0))),
         "terms of dimension 2 on Z^1": (padded, chi),
+        "sequence one term short": (short, chi),
     }
     for name, (bad, bad_chi) in tampered.items():
         assert not check_witness(bad, t, bad_chi), name
