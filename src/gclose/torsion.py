@@ -185,13 +185,11 @@ _CF_CACHE: OrderedDict[CirclePoint, CFExpansion] = OrderedDict()
 
 
 def _cf_entry(alpha: CirclePoint) -> CFExpansion:
-    if alpha in _CF_CACHE:
-        _CF_CACHE.move_to_end(alpha)
-    else:
-        _CF_CACHE[alpha] = cf_expand(alpha)
-        if len(_CF_CACHE) > _CF_CACHE_SIZE:
-            _CF_CACHE.popitem(last=False)
-    return _CF_CACHE[alpha]
+    cf = _CF_CACHE.pop(alpha) if alpha in _CF_CACHE else cf_expand(alpha)
+    _CF_CACHE[alpha] = cf  # hit or miss, alpha is now the most recent
+    if len(_CF_CACHE) > _CF_CACHE_SIZE:
+        _CF_CACHE.popitem(last=False)
+    return cf
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,9 @@ class CFDenominators(IntVecSeq):
     def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
         # (q_(n-1), q_n) from (q_(-1), q_0) = (0, 1), whatever the expansion
         pairs = accumulate(
-            _quotients(_cf_entry(self.alpha), 1), lambda r, a: (r[1], a * r[1] + r[0]), initial=(0, 1)
+            _quotients(_cf_entry(self.alpha), 1),
+            lambda r, a: (r[1], a * r[1] + r[0]),
+            initial=(0, 1),
         )
         return ((q,) for _, q in islice(pairs, n0, None, s))
 
@@ -336,19 +336,19 @@ class Interleave(IntVecSeq):
 
     def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
         """One walk per child, started once and advanced to each local index
-        asked; it ends where a child has no term.  A finite interleave walks
-        in order from 0, so that no ended child is stepped over."""
-        if self.is_finite and (n0, s) != (0, 1):
-            yield from islice(self.walk(0, 1), n0, None, s)
-            return
+        asked.  A finite interleave ends at the first index whose child has
+        no term, found from the lengths of the finite children's walks."""
+        ends = (
+            self.global_index(j, sum(1 for _ in c.walk(0, 1)))
+            for j, c in enumerate(self.children)
+            if c.is_finite
+        )
+        indices = range(n0, min(ends), s) if self.is_finite else count(n0, s)
         walks = {}
-        for j, m in map(self._locate, count(n0, s)):
+        for j, m in map(self._locate, indices):
             walk, at = walks.get(j) or (self.children[j].walk(m, 1), m)
-            term = next(islice(walk, m - at, None), None)
-            if term is None:
-                return
+            yield next(islice(walk, m - at, None))
             walks[j] = walk, m + 1
-            yield term
 
     def describe(self) -> str:
         body = ";".join(
@@ -741,8 +741,9 @@ def _upper(bracket: tuple[int, int, int], tol: Fraction) -> Fraction:
 
 def _tail_scan(brackets: Iterable[tuple[int, int, int]], tol: Fraction) -> Verdict:
     """Verdict on the norm brackets (lo, hi, scale) of terms 0, 1, ..., read
-    as they stream in, up to the horizon n where they stop.  The tail follows the last term whose upper bound
-    hi/scale exceeds tol, tested in integers as hi*tol.den > tol.num*scale.
+    as they stream in, up to the horizon n where they stop.  The tail
+    follows the last term whose upper bound hi/scale exceeds tol, tested in
+    integers as hi*tol.den > tol.num*scale.
     Only reported bounds become Fractions, by ``_upper``: the tail's worst,
     the 16-entry trace and the offending term."""
     tn, td = tol.numerator, tol.denominator

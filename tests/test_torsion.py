@@ -299,6 +299,28 @@ def test_interleave_walks_start_each_child_once():
         assert v.fact("offending_index") == h - 1, (u.describe(), v)
 
 
+def test_strided_walks_of_finite_interleaves_jump_to_their_end():
+    # a finite interleave with a block of 10^9 ends near index 2*10^9, but a
+    # stride of 10^9 reads only a few terms: the walk must not step through
+    # the indices in between
+    big = 10**9
+    u = Subsequence(Interleave((Explicit(((1,),)), Constant((2,))), (1, big)), big, 0)
+    short = Explicit(((1,), (3,), (5,)))
+    w = Subsequence(Interleave((short, Constant((2,))), (1, big)), big + 1, 0)
+    started = time.perf_counter()
+    assert list(u.walk(0, 1)) == [(1,), (2,)] == [reference_term(u, n) for n in range(2)]
+    assert list(w.walk(0, 1)) == [(1,), (3,), (5,)] == [reference_term(w, n) for n in range(3)]
+    assert (reference_horizon(u), reference_horizon(w)) == (2, 3)
+    assert list(u.walk(2, 1)) == list(w.walk(3, 2)) == []
+    half = t_membership(u, CirclePoint.rational(1, 2))
+    golden = t_membership(u, GOLDEN)
+    assert time.perf_counter() - started < 1
+    assert half.status == "exact" and half.member
+    assert (half.fact("from_index"), half.fact("sequence_horizon")) == (1, 2)
+    assert golden.status == "undecided" and golden.horizon == 2
+    assert golden.fact("offending_index") == 1
+
+
 # membership: frozen examples ---------------------------------------------------
 
 
