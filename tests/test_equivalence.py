@@ -6,12 +6,15 @@ byte for byte; the test never rewrites it.  Re-record with
 ``PYTHONPATH=src python tests/test_equivalence.py record`` and review the
 diff line by line.
 
-* ``duality_systems.txt``: for seeded groups (free rank 0-3, torsion
-  factors, rational and quadratic coordinates, 0-3 generators) every integer
-  system that ``annihilator`` and ``DualSubgroup.contains`` hand to
-  ``kernel_basis`` and ``system_solvable``, then ``str(annihilator)``, the
-  ``contains`` answers and ``str(closure_in_dual)``.  With no generators only
-  the results are recorded, not the systems.
+* ``duality_answers.txt``: for seeded groups (free rank 0-3, torsion
+  factors, rational and quadratic coordinates, 0-3 generators)
+  ``str(annihilator)``, the ``DualSubgroup.contains`` answers and
+  ``str(closure_in_dual)``.  These are the duality layer's answers; any
+  change of method must leave them as they are.
+* ``duality_systems.txt``: for the same cases, every integer system that
+  ``annihilator`` and ``DualSubgroup.contains`` hand to ``kernel_basis``
+  and ``system_solvable``, in call order.  With no generators nothing is
+  recorded.
 * ``echelon_systems.txt``: ``kernel_basis`` and ``system_solvable`` on 150
   seeded integer systems of shapes 0x0 to 16x32 (and 32x16), full rank or
   a product of a small left factor and a right factor.  The right factor
@@ -166,37 +169,45 @@ def _duality_case(rng: random.Random):
     return ambient, gens, chis
 
 
+def _duality_cases():
+    rng = random.Random(20261018)
+    for case in range(160):
+        ambient, gens, chis = _duality_case(rng)
+        yield case, ambient, gens, chis, DualSubgroup.make(ambient, gens)
+
+
+def render_duality_answers() -> str:
+    lines = []
+    for case, ambient, gens, chis, h in _duality_cases():
+        lines.append(f"case {case}: {ambient} H = {h}")
+        lines.append(f"  annihilator {annihilator(h)}")
+        lines.extend(f"  contains {chi} {h.contains(chi)}" for chi in chis)
+        lines.append(f"  closure {closure_in_dual(h)}")
+    return "\n".join(lines) + "\n"
+
+
 def render_duality_systems(monkeypatch) -> str:
-    calls: list[str] = []
+    lines: list[str] = []
     kernel_basis, system_solvable = duality.kernel_basis, duality.system_solvable
 
     def recorded_kernel(m):
-        calls.append(f"  kernel_basis {m.rows}x{m.cols} [{m}]")
+        lines.append(f"  kernel_basis {m.rows}x{m.cols} [{m}]")
         return kernel_basis(m)
 
     def recorded_solvable(m, b):
-        calls.append(f"  system_solvable {m.rows}x{m.cols} [{m}] = ({','.join(map(str, b))})")
+        lines.append(f"  system_solvable {m.rows}x{m.cols} [{m}] = ({','.join(map(str, b))})")
         return system_solvable(m, b)
 
     monkeypatch.setattr(duality, "kernel_basis", recorded_kernel)
     monkeypatch.setattr(duality, "system_solvable", recorded_solvable)
-    rng = random.Random(20261018)
-    lines = []
-    for case in range(160):
-        ambient, gens, chis = _duality_case(rng)
-        h = DualSubgroup.make(ambient, gens)
+    for case, ambient, gens, chis, h in _duality_cases():
+        if not gens:
+            continue
         lines.append(f"case {case}: {ambient} H = {h}")
-
-        def emit(label, value):
-            if gens:
-                lines.extend(calls)
-            calls.clear()
-            lines.append(f"  {label} {value}")
-
-        emit("annihilator", annihilator(h))
+        annihilator(h)
         for chi in chis:
-            emit(f"contains {chi}", h.contains(chi))
-        emit("closure", closure_in_dual(h))
+            h.contains(chi)
+        closure_in_dual(h)
     return "\n".join(lines) + "\n"
 
 
@@ -701,6 +712,10 @@ def _recorded(name: str) -> str:
     return (GOLDEN_DIR / name).read_text(encoding="utf-8")
 
 
+def test_duality_answers_match_recording():
+    assert render_duality_answers() == _recorded("duality_answers.txt")
+
+
 def test_duality_systems_match_recording(monkeypatch):
     assert render_duality_systems(monkeypatch) == _recorded("duality_systems.txt")
 
@@ -736,6 +751,7 @@ def test_scan_verdicts_match_recording():
 if __name__ == "__main__":
     if sys.argv[1:] != ["record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py record")
+    (GOLDEN_DIR / "duality_answers.txt").write_text(render_duality_answers(), encoding="utf-8")
     with pytest.MonkeyPatch.context() as mp:
         (GOLDEN_DIR / "duality_systems.txt").write_text(render_duality_systems(mp), encoding="utf-8")
     (GOLDEN_DIR / "echelon_systems.txt").write_text(render_echelon_systems(), encoding="utf-8")
