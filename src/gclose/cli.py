@@ -666,7 +666,8 @@ def _run_closure(args, policy, budget):
     )
     subgroup = DualSubgroup(ambient, gens)
     closure = closure_in_dual(subgroup)
-    closed = closure.is_finitely_generated and closure.as_dual_subgroup() == subgroup
+    # H lies in its closure, so the two are equal when the closure lies in H
+    closed = closure.is_finitely_generated and subgroup.contains_all(closure.finite_generators)
     return {
         "group": str(ambient),
         "subgroup_generators": [str(g) for g in subgroup.generators],

@@ -7,8 +7,11 @@ CirclePoint per free coordinate with a residue per torsion factor.
 
 Everything runs over exact integer linear algebra.  The row Hermite normal
 form is the one echelon core: it gives kernels, solvability, canonical
-sublattice bases and membership tests.  Smith normal form is kept only where
-invariant factors are read: group presentations and closures.
+sublattice bases and membership tests.  Taken modulo a multiple D of the
+lattice's exponent, it keeps every entry below D; annihilators use it that
+way.  A dual subgroup answers membership from one Hermite lattice built for
+the call.  Smith normal form is kept only where invariant factors are read:
+group presentations and closures.
 """
 
 from __future__ import annotations
@@ -221,18 +224,33 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return um, dm, vm
 
 
-def row_hnf(m: IntMatrix) -> IntMatrix:
+def _reduced(row: list[int], q: int, other: list[int], modulus: int, c: int) -> list[int]:
+    """row - q*other for a row other that is 0 before column c, its entries
+    taken mod the modulus when there is one."""
+    if modulus:
+        return row[:c] + [(x - q * y) % modulus for x, y in zip(row[c:], other[c:])]
+    return row[:c] + [x - q * y for x, y in zip(row[c:], other[c:])]
+
+
+def row_hnf(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     """Canonical row Hermite normal form: echelon, positive pivots, entries
     above each pivot reduced into [0, pivot).  Zero rows are dropped, so the
-    result is a unique basis of the row lattice."""
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
+    result is a unique basis of the row lattice.
+
+    A modulus D > 0 adds D*Z^cols to the lattice, which then has full rank,
+    and keeps every entry in [0, D): the HNF modulo D of Domich, Kannan &
+    Trotter (1987) and Cohen (1993, Alg. 2.4.8), equal to the HNF of m
+    stacked with D*I.  Column c's pivot is gcd(p, D) = u*p mod D, for p the
+    pivot the rows give, and (D/gcd)*row, 0 in column c, stays among the
+    rows still to be reduced, so the lattice loses nothing."""
+    cols = m.cols
+    a = [[x % modulus for x in r] if modulus else list(r) for r in m.entries]
     r = 0
     for c in range(cols):
+        pivot = None
         while True:
-            nz = [i for i in range(r, rows) if a[i][c]]
+            nz = [i for i in range(r, len(a)) if a[i][c]]
             if not nz:
-                pivot = None
                 break
             i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
             if a[i0][c] < 0:
@@ -244,17 +262,26 @@ def row_hnf(m: IntMatrix) -> IntMatrix:
                 if i != i0:
                     q = a[i][c] // a[i0][c]
                     if q:
-                        a[i] = [x - q * y for x, y in zip(a[i], a[i0])]
-        if pivot is None:
+                        a[i] = _reduced(a[i], q, a[i0], modulus, c)
+        if modulus:
+            row = a.pop(pivot) if pivot is not None else [0] * cols
+            h = gcd(row[c], modulus)
+            u = pow(row[c] // h, -1, modulus // h) if row[c] else 0
+            rest = [x * (modulus // h) % modulus for x in row]
+            if any(rest):
+                a.append(rest)
+            a.insert(r, [h if j == c else u * x % modulus for j, x in enumerate(row)])
+        elif pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
+        else:
+            a[r], a[pivot] = a[pivot], a[r]
         p = a[r][c]
         for i in range(r):
             q = a[i][c] // p
             if q:
-                a[i] = [x - q * y for x, y in zip(a[i], a[r])]
+                a[i] = _reduced(a[i], q, a[r], modulus, c)
         r += 1
-        if r == rows:
+        if r == len(a) and not modulus:
             break
     return IntMatrix.from_rows(a[:r], cols)
 
@@ -469,46 +496,63 @@ class Sublattice:
         return "span{" + "; ".join(",".join(str(x) for x in g) for g in gens) + "}"
 
 
-def _scaled(coeffs: list[tuple[int, int]]) -> tuple[list[int], int, int]:
-    """Fractions n/d, given as pairs, times the lcm of their denominators in
-    lowest terms: (row, rhs, denominator), the last one being the
-    right-hand side."""
-    lowest = [(n // g, d // g) for n, d in coeffs for g in (gcd(n, d),)]
-    den = lcm(*(d for _, d in lowest))
-    ints = [n * (den // d) for n, d in lowest]
-    return ints[:-1], ints[-1], den
+def _cleared(fractions: list[tuple[int, int]]) -> tuple[list[int], int]:
+    """Fractions n/d, given as pairs, times the lcm m of their denominators
+    in lowest terms: (integer row, m)."""
+    lowest = [(n // g, d // g) for n, d in fractions for g in (gcd(n, d),)]
+    m = lcm(*(d for _, d in lowest))
+    return [n * (m // d) for n, d in lowest], m
 
 
-def _mod_one_rows(
-    values: list[SurdSum], target: SurdSum
-) -> list[tuple[list[int], int, int]]:
-    """sum_i x_i * values[i] = target (mod 1) for integers x_i, as integer rows
-    (row, rhs, modulus): one exact equation (modulus 0) per surd base, since
-    square roots of distinct squarefree bases are independent over Q, then
-    one congruence modulo the common denominator of the rational parts."""
-    sums = values + [target]
-    surds = [dict(v.terms) for v in sums]
-    rows = []
-    for d in sorted(set().union(*surds)):
-        row, rhs, _ = _scaled([(s.get(d, 0), v.den) for s, v in zip(surds, sums)])
-        rows.append((row, rhs, 0))
-    return rows + [_scaled([(v.num, v.den) for v in sums])]
+class _Membership:
+    """The membership lattice of one dual subgroup, built once per public
+    call; nothing outlives the call that made it.
 
+    chi = sum x_i g_i (mod 1, exactly) is an integer system in x.  Free
+    coordinate j is scaled by D_j, the lcm of the generators' denominators
+    there, and gives one exact row per surd base the generators use at j
+    and one congruence mod D_j; each torsion factor gives one congruence.
+    The lattice the system's columns span, one per generator and one per
+    congruence holding its modulus, is kept in row Hermite form, taken
+    modulo the lcm of the moduli when there are no exact rows."""
 
-def _stack(
-    rows: list[tuple[list[int], int, int]], width: int
-) -> tuple[IntMatrix, list[int]]:
-    """The integer system of rows over width unknowns, with one slack column
-    per congruence (modulus != 0) holding its modulus; returns (matrix, rhs)."""
-    moduli = [m for _, _, m in rows if m]
-    full, slot = [], 0
-    for row, _, m in rows:
-        slack = [0] * len(moduli)
-        if m:
-            slack[slot] = m
-            slot += 1
-        full.append(row + slack)
-    return IntMatrix.from_rows(full, width + len(moduli)), [b for _, b, _ in rows]
+    def __init__(self, subgroup: "DualSubgroup"):
+        ambient = subgroup.ambient
+        self.ambient = ambient
+        gens = subgroup.generators
+        self.scales: list[int] = []
+        self.bases: list[list[int]] = []
+        rows = []  # (coefficient per generator, modulus or 0 when exact)
+        for j in range(ambient.free_rank):
+            points = [g.free[j] for g in gens]
+            scale = lcm(*(p.den for p in points))
+            bases = sorted({p.surd for p in points if not p.is_rational})
+            for d in bases:
+                rows.append(
+                    ([p.surd_coeff * (scale // p.den) * (p.surd == d) for p in points], 0)
+                )
+            rows.append(([p.num * (scale // p.den) for p in points], scale))
+            self.scales.append(scale)
+            self.bases.append(bases)
+        for l, d in enumerate(ambient.invariant_factors):
+            rows.append(([g.torsion[l] for g in gens], d))
+        width = len(rows)
+        columns = [[row[i] for row, _ in rows] for i in range(len(gens))]
+        columns += [[m * (k == t) for k in range(width)] for t, (_, m) in enumerate(rows) if m]
+        moduli = [m for _, m in rows]
+        modulus = 0 if 0 in moduli else lcm(*moduli)
+        self.lattice = row_hnf(IntMatrix.from_rows(columns, width), modulus)
+
+    def contains(self, chi: Character) -> bool:
+        chi = Character.make(self.ambient, chi.free, chi.torsion)
+        target = []
+        for p, scale, bases in zip(chi.free, self.scales, self.bases):
+            if scale % p.den or not (p.is_rational or p.surd in bases):
+                return False
+            up = scale // p.den
+            target += [p.surd_coeff * up * (p.surd == d) for d in bases]
+            target.append(p.num * up)
+        return _rowspan_contains(self.lattice, tuple(target) + chi.torsion)
 
 
 @dataclass(frozen=True)
@@ -529,22 +573,21 @@ class DualSubgroup:
 
     def contains(self, chi: Character) -> bool:
         """Is chi an integer combination of the generators (mod 1, exactly)?"""
-        chi = Character.make(self.ambient, chi.free, chi.torsion)
-        rows = []
-        for j in range(self.ambient.free_rank):
-            values = [SurdSum.from_point(g.free[j]) for g in self.generators]
-            rows += _mod_one_rows(values, SurdSum.from_point(chi.free[j]))
-        for l, d in enumerate(self.ambient.invariant_factors):
-            rows.append(([g.torsion[l] for g in self.generators], chi.torsion[l], d))
-        return system_solvable(*_stack(rows, len(self.generators)))
+        return _Membership(self).contains(chi)
+
+    def contains_all(self, chis: list[Character] | tuple[Character, ...]) -> bool:
+        """Does every character in chis lie in the subgroup?  One membership
+        lattice serves them all."""
+        lattice = _Membership(self)
+        return all(lattice.contains(chi) for chi in chis)
 
     def __eq__(self, other):
         if not isinstance(other, DualSubgroup):
             return NotImplemented
         if self.ambient != other.ambient:
             return False
-        return all(other.contains(g) for g in self.generators) and all(
-            self.contains(g) for g in other.generators
+        return other.contains_all(self.generators) and self.contains_all(
+            other.generators
         )
 
     def __hash__(self):
@@ -589,24 +632,38 @@ def annihilator(subgroup: DualSubgroup) -> Sublattice:
     """H-perp: all ambient elements on which every generator of H vanishes.
 
     A quadratic coordinate contributes exact linear equations (its surd
-    coefficients must cancel), the rational content contributes one
-    congruence per generator; the integer kernel of the combined system,
-    projected back to ambient coordinates, is the annihilator.
+    coefficients must cancel), the rational content one congruence per
+    generator.  The exact equations go first: their integer kernel has a
+    basis B (the identity when there are none).  Over B, every congruence
+    is brought to D, the lcm of the moduli, as a row of M; the rows of
+    [M^T | I] span, together with D*Z^N, the lattice of [[M^T | I]; [D*I | 0]],
+    so its HNF is taken modulo D.  Its rows with a zero congruence part,
+    read in their I part and multiplied by B, span the annihilator.
     """
     ambient = subgroup.ambient
     n = ambient.ncoords
-    equations, congruences = [], []
+    exact, congruences = [], []
     for g in subgroup.generators:
-        values = [SurdSum.from_point(p) for p in g.free] + [
-            SurdSum(k, (), d) for k, d in zip(g.torsion, ambient.invariant_factors)
-        ]
-        *eqs, cong = _mod_one_rows(values, SurdSum())
-        equations += eqs
-        congruences.append(cong)
-    system, _ = _stack(equations + congruences, n)
-    kernel = kernel_basis(system)
-    projected = [vec[:n] for vec in kernel]
-    return Sublattice.from_generators(ambient, projected)
+        points = g.free + tuple(
+            CirclePoint.rational(k, d) for k, d in zip(g.torsion, ambient.invariant_factors)
+        )
+        for d in sorted({p.surd for p in points if not p.is_rational}):
+            exact.append(_cleared([(p.surd_coeff * (p.surd == d), p.den) for p in points])[0])
+        congruences.append(_cleared([(p.num, p.den) for p in points]))
+    if exact:
+        basis = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(exact, n)), n)
+    else:
+        basis = IntMatrix.identity(n)
+    modulus = lcm(*(m for _, m in congruences))
+    scaled = IntMatrix.from_rows([[modulus // m * x for x in row] for row, m in congruences], n)
+    width, k = scaled.rows, basis.rows
+    stacked = [
+        list(row) + [int(i == j) for j in range(k)]
+        for i, row in enumerate((basis @ scaled.transpose()).entries)
+    ]
+    hnf = row_hnf(IntMatrix.from_rows(stacked, width + k), modulus)
+    kernel = IntMatrix.from_rows([row[width:] for row in hnf.entries if not any(row[:width])], k)
+    return Sublattice.from_generators(ambient, list((kernel @ basis).entries))
 
 
 @dataclass(frozen=True)

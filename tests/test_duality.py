@@ -2,18 +2,22 @@
 
 The SNF example diag(2,4) is frozen from the minor-gcd oracle: d1 = gcd of
 all entries = 2, d1*d2 = |det| = 8.  Annihilator and closure examples are
-frozen from hand computation (cleared-denominator congruences).
+frozen from hand computation (cleared-denominator congruences).  Membership
+lattices and annihilators are checked against the integer systems they
+replaced, kept here as the reference: one chi-scaled system per
+``contains`` call, and the kernel of all equations and congruences at once.
 """
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gclose.circle import CirclePoint
+from gclose.circle import CirclePoint, SurdSum
+from gclose.cli import Command, run
 from gclose.duality import (
     Character,
     DualSubgroup,
@@ -31,6 +35,7 @@ from gclose.duality import (
     system_solvable,
     von_neumann_radical,
 )
+from test_equivalence import SURD_BASES, _duality_case
 
 GOLDEN = CirclePoint.quadratic(-1, 1, 2, 5)
 
@@ -213,6 +218,24 @@ def test_hermite_kernel_and_solvability_match_the_smith_reference():
             solvable += answer
             unsolvable += not answer
     assert solvable > 100 and unsolvable > 100
+
+
+@given(
+    st.integers(min_value=0, max_value=5).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.integers(min_value=-10**4, max_value=10**4), min_size=cols, max_size=cols),
+            max_size=6,
+        ).map(lambda rows: (rows, cols))
+    ),
+    st.integers(min_value=1, max_value=10**6),
+)
+@settings(max_examples=300)
+def test_hnf_modulo_d_is_the_hnf_of_the_rows_stacked_with_d(shaped, d):
+    rows, cols = shaped
+    stacked = rows + [[d * (i == j) for j in range(cols)] for i in range(cols)]
+    modular = row_hnf(IntMatrix.from_rows(rows, cols), d)
+    assert modular == row_hnf(IntMatrix.from_rows(stacked, cols))
+    assert all(0 <= x <= d for row in modular.entries for x in row)
 
 
 # groups and presentations ----------------------------------------------------
@@ -438,3 +461,171 @@ def test_finite_duality_sample(m, n):
             closed = c.as_dual_subgroup()
             assert closed == h
             assert brute_subgroup_elements(ambient, closed.generators) == elems
+
+
+# membership lattices and annihilators against the integer systems they replaced
+
+
+def _scaled(coeffs: list[tuple[int, int]]) -> tuple[list[int], int, int]:
+    lowest = [(n // g, d // g) for n, d in coeffs for g in (gcd(n, d),)]
+    den = lcm(*(d for _, d in lowest))
+    ints = [n * (den // d) for n, d in lowest]
+    return ints[:-1], ints[-1], den
+
+
+def _mod_one_rows(values: list[SurdSum], target: SurdSum) -> list[tuple[list[int], int, int]]:
+    """sum_i x_i * values[i] = target (mod 1) as integer rows (row, rhs,
+    modulus): one exact equation (modulus 0) per surd base, then one
+    congruence modulo the common denominator of the rational parts."""
+    sums = values + [target]
+    surds = [dict(v.terms) for v in sums]
+    rows = []
+    for d in sorted(set().union(*surds)):
+        row, rhs, _ = _scaled([(s.get(d, 0), v.den) for s, v in zip(surds, sums)])
+        rows.append((row, rhs, 0))
+    return rows + [_scaled([(v.num, v.den) for v in sums])]
+
+
+def _stack(rows: list[tuple[list[int], int, int]], width: int) -> tuple[IntMatrix, list[int]]:
+    """The system over width unknowns, one slack column per congruence."""
+    moduli = [m for _, _, m in rows if m]
+    full, slot = [], 0
+    for row, _, m in rows:
+        slack = [0] * len(moduli)
+        if m:
+            slack[slot] = m
+            slot += 1
+        full.append(row + slack)
+    return IntMatrix.from_rows(full, width + len(moduli)), [b for _, b, _ in rows]
+
+
+def reference_contains(h: DualSubgroup, chi: Character) -> bool:
+    """Membership by one chi-scaled integer system per call."""
+    rows = []
+    for j in range(h.ambient.free_rank):
+        values = [SurdSum.from_point(g.free[j]) for g in h.generators]
+        rows += _mod_one_rows(values, SurdSum.from_point(chi.free[j]))
+    for l, d in enumerate(h.ambient.invariant_factors):
+        rows.append(([g.torsion[l] for g in h.generators], chi.torsion[l], d))
+    return system_solvable(*_stack(rows, len(h.generators)))
+
+
+def reference_equal(h1: DualSubgroup, h2: DualSubgroup) -> bool:
+    return all(reference_contains(h2, g) for g in h1.generators) and all(
+        reference_contains(h1, g) for g in h2.generators
+    )
+
+
+def reference_annihilator(h: DualSubgroup) -> Sublattice:
+    """The integer kernel of all equations and congruences at once."""
+    ambient, n = h.ambient, h.ambient.ncoords
+    equations, congruences = [], []
+    for g in h.generators:
+        values = [SurdSum.from_point(p) for p in g.free] + [
+            SurdSum(k, (), d) for k, d in zip(g.torsion, ambient.invariant_factors)
+        ]
+        *eqs, cong = _mod_one_rows(values, SurdSum())
+        equations += eqs
+        congruences.append(cong)
+    system, _ = _stack(equations + congruences, n)
+    return Sublattice.from_generators(ambient, [v[:n] for v in kernel_basis(system)])
+
+
+def _with_foreign_surd(h: DualSubgroup, chi: Character) -> Character | None:
+    """chi plus sqrt(d) on its first free coordinate, for a base d no
+    generator has there, when that coordinate of chi is rational."""
+    if not h.ambient.free_rank or not chi.free[0].is_rational:
+        return None
+    used = {g.free[0].surd for g in h.generators}
+    d = next((b for b in SURD_BASES if b not in used), None)
+    if d is None:
+        return None
+    p = chi.free[0]
+    moved = CirclePoint.quadratic(p.num, p.den, p.den, d)
+    return Character.make(h.ambient, (moved,) + chi.free[1:], chi.torsion)
+
+
+def test_membership_lattice_matches_the_reference():
+    rng = random.Random(20261020)
+    members = outsiders = foreign = 0
+    for _ in range(2000):
+        ambient, gens, chis = _duality_case(rng)
+        h = DualSubgroup.make(ambient, gens)
+        moved = [x for x in (_with_foreign_surd(h, c) for c in chis) if x is not None]
+        foreign += len(moved)
+        chis += moved
+        for chi in chis:
+            answer = h.contains(chi)
+            assert answer == reference_contains(h, chi), (str(h), str(chi))
+            members += answer
+            outsiders += not answer
+        assert h.contains_all(chis) == all(reference_contains(h, c) for c in chis)
+    assert members > 2000 and outsiders > 2000 and foreign > 1000
+
+
+def test_membership_refuses_denominators_and_surd_bases_the_generators_lack():
+    a = FgAbelianGroup(1, ())
+    h = DualSubgroup(a, (Character.make(a, (half(1, 2),)),))
+    # D = 2: 1/4 is refused by its denominator, sqrt(2) + 1/2 by its base
+    assert not h.contains(Character.make(a, (half(1, 4),)))
+    assert not h.contains(Character.make(a, (CirclePoint.quadratic(1, 2, 2, 2),)))
+    assert h.contains(Character.make(a, (half(1, 2),)))
+    g = DualSubgroup(a, (Character.make(a, (CirclePoint.quadratic(0, 1, 3, 2),)),))
+    assert not g.contains(Character.make(a, (CirclePoint.quadratic(0, 1, 3, 3),)))
+    assert not g.contains(Character.make(a, (CirclePoint.quadratic(0, 1, 6, 2),)))
+    assert g.contains(Character.make(a, (CirclePoint.quadratic(0, -2, 3, 2),)))
+
+
+def test_closed_flag_matches_two_sided_equality():
+    rng = random.Random(20261021)
+    closed = open_ = 0
+    for case in range(400):
+        ambient, gens, _ = _duality_case(rng)
+        h = DualSubgroup.make(ambient, gens)
+        c = closure_in_dual(h)
+        fg = c.is_finitely_generated
+        expected = fg and reference_equal(c.as_dual_subgroup(), h)
+        assert (fg and h.contains_all(c.finite_generators)) == expected
+        if case % 4 == 0 and ambient.ncoords:
+            gens_text = ";".join(str(g) for g in gens)
+            report, code = run(Command("closure", {"group": str(ambient), "gens": gens_text}, {}))
+            assert code == 0 and report.result["closed"] is expected
+        closed += expected
+        open_ += not expected
+    assert closed > 50 and open_ > 50
+
+
+def _radical_case(rng: random.Random) -> DualSubgroup:
+    """Rational characters on Z^k, denominators up to 30, as radical-large
+    draws them, or quadratic ones over one or two bases."""
+    k = rng.randint(1, 6)
+    surd = rng.random() < 0.4
+
+    def point():
+        if surd and rng.random() < 0.6:
+            return CirclePoint.quadratic(
+                rng.randint(-9, 9), rng.choice((-1, 1, 2)), rng.randint(1, 12), rng.choice((2, 3))
+            )
+        return CirclePoint.rational(rng.randint(0, 29), rng.randint(1, 30))
+
+    chars = [tuple(point() for _ in range(k)) for _ in range(rng.randint(1, k))]
+    t = PrecompactTopology.on_free(k, chars)
+    return t.as_dual_subgroup()
+
+
+def test_annihilator_matches_the_kernel_basis_reference():
+    rng = random.Random(20261022)
+    kinds = set()
+    for _ in range(600):
+        ambient, gens, _ = _duality_case(rng)
+        h = DualSubgroup.make(ambient, gens)
+        assert annihilator(h) == reference_annihilator(h), str(h)
+        surd = any(not p.is_rational for g in gens for p in g.free)
+        kinds.add((bool(ambient.free_rank), ambient.is_free, surd))
+    for _ in range(150):
+        h = _radical_case(rng)
+        assert annihilator(h) == reference_annihilator(h), str(h)
+    # (free rank > 0, no torsion, a surd coordinate): rational, torsion,
+    # surd and mixed groups all occur
+    assert {(True, True, False), (False, False, False), (True, True, True)} <= kinds
+    assert (True, False, True) in kinds

@@ -10,11 +10,9 @@ diff line by line.
   factors, rational and quadratic coordinates, 0-3 generators)
   ``str(annihilator)``, the ``DualSubgroup.contains`` answers and
   ``str(closure_in_dual)``.  These are the duality layer's answers; any
-  change of method must leave them as they are.
-* ``duality_systems.txt``: for the same cases, every integer system that
-  ``annihilator`` and ``DualSubgroup.contains`` hand to ``kernel_basis``
-  and ``system_solvable``, in call order.  With no generators nothing is
-  recorded.
+  change of method must leave them as they are.  The integer systems behind
+  them are the method and are not recorded: the echelon corpus below and
+  ``tests/test_duality.py`` check the routines that solve them.
 * ``echelon_systems.txt``: ``kernel_basis`` and ``system_solvable`` on 150
   seeded integer systems of shapes 0x0 to 16x32 (and 32x16), full rank or
   a product of a small left factor and a right factor.  The right factor
@@ -64,8 +62,6 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import pytest
 
 from gclose import duality
 from gclose.circle import (
@@ -183,31 +179,6 @@ def render_duality_answers() -> str:
         lines.append(f"  annihilator {annihilator(h)}")
         lines.extend(f"  contains {chi} {h.contains(chi)}" for chi in chis)
         lines.append(f"  closure {closure_in_dual(h)}")
-    return "\n".join(lines) + "\n"
-
-
-def render_duality_systems(monkeypatch) -> str:
-    lines: list[str] = []
-    kernel_basis, system_solvable = duality.kernel_basis, duality.system_solvable
-
-    def recorded_kernel(m):
-        lines.append(f"  kernel_basis {m.rows}x{m.cols} [{m}]")
-        return kernel_basis(m)
-
-    def recorded_solvable(m, b):
-        lines.append(f"  system_solvable {m.rows}x{m.cols} [{m}] = ({','.join(map(str, b))})")
-        return system_solvable(m, b)
-
-    monkeypatch.setattr(duality, "kernel_basis", recorded_kernel)
-    monkeypatch.setattr(duality, "system_solvable", recorded_solvable)
-    for case, ambient, gens, chis, h in _duality_cases():
-        if not gens:
-            continue
-        lines.append(f"case {case}: {ambient} H = {h}")
-        annihilator(h)
-        for chi in chis:
-            h.contains(chi)
-        closure_in_dual(h)
     return "\n".join(lines) + "\n"
 
 
@@ -716,10 +687,6 @@ def test_duality_answers_match_recording():
     assert render_duality_answers() == _recorded("duality_answers.txt")
 
 
-def test_duality_systems_match_recording(monkeypatch):
-    assert render_duality_systems(monkeypatch) == _recorded("duality_systems.txt")
-
-
 def test_echelon_systems_match_recording():
     assert render_echelon_systems() == _recorded("echelon_systems.txt")
 
@@ -752,8 +719,6 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["record"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_equivalence.py record")
     (GOLDEN_DIR / "duality_answers.txt").write_text(render_duality_answers(), encoding="utf-8")
-    with pytest.MonkeyPatch.context() as mp:
-        (GOLDEN_DIR / "duality_systems.txt").write_text(render_duality_systems(mp), encoding="utf-8")
     (GOLDEN_DIR / "echelon_systems.txt").write_text(render_echelon_systems(), encoding="utf-8")
     (GOLDEN_DIR / "circle_numerics.txt").write_text(render_circle_numerics(), encoding="utf-8")
     (GOLDEN_DIR / "pattern_verdicts.txt").write_text(render_pattern_verdicts(), encoding="utf-8")
