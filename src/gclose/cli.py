@@ -559,6 +559,20 @@ _NOTE = (
 )
 
 
+def _parse_tolerance(text: str) -> Fraction:
+    """A tolerance whose reports print: scans report inexact bounds on a
+    tol/8 grid, so 8 times its denominator must stay within the
+    interpreter's digit limit.  The position is the denominator's."""
+    tol = parse_fraction(text)
+    limit = sys.get_int_max_str_digits()
+    if limit and 8 * tol.denominator >= 10**limit:
+        pos = text.find("/") + 1 if "/" in text else text.find("^") + 1
+        raise ParseError(
+            f"tolerance/8 has a denominator of more than {limit} digits", pos
+        )
+    return tol
+
+
 def _resolve_config(policy: dict) -> tuple[Policy, Budget, dict]:
     """Flags > GCLOSE_* environment variables > defaults."""
 
@@ -577,7 +591,7 @@ def _resolve_config(policy: dict) -> tuple[Policy, Budget, dict]:
     if horizon > MAX_HORIZON:
         raise CliError(f"horizon {horizon} exceeds {MAX_HORIZON}")
     tolerance, tsrc = pick(
-        "tolerance", "GCLOSE_TOLERANCE", parse_fraction, Fraction(1, 2**20)
+        "tolerance", "GCLOSE_TOLERANCE", _parse_tolerance, Fraction(1, 2**20)
     )
 
     def parse_budget(text):

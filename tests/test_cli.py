@@ -161,6 +161,33 @@ def test_power_of_two_literal_past_the_digit_limit_is_positioned(int_digit_limit
     assert parse_fraction("2^-20000") == Fraction(1, 2**20000)
 
 
+def test_tolerance_whose_report_grid_passes_the_digit_limit_is_positioned(
+    int_digit_limit, capsys, monkeypatch
+):
+    # bounds are reported on a tol/8 grid: at 2^-14284 its denominator
+    # 2^14287 has 4301 digits, so the tolerance is refused before the scan,
+    # like 2^-14285, whose power alone passes the limit; 2^-14281 still runs
+    int_digit_limit(4300)
+    argv = ["tmem", "--seq", "geom:2", "--point", "quad:(-1+1*sqrt(5))/2", "--horizon", "32"]
+    for k, message in (
+        (14284, "tolerance/8 has a denominator of more than 4300 digits"),
+        (14285, "2^14285 has more than 4300 digits"),
+    ):
+        assert main(argv + ["--tolerance", f"2^-{k}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"gclose: error: at position 2: {message}\n"
+    assert main(argv + ["--tolerance", f"1/{2**14282}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("gclose: error: at position 2: tolerance/8")
+    monkeypatch.setenv("GCLOSE_TOLERANCE", "2^-14284")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("gclose: error: bad GCLOSE_TOLERANCE: at position 2")
+    monkeypatch.delenv("GCLOSE_TOLERANCE")
+    assert main(argv + ["--tolerance", "2^-14281", "--format", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["config"]["tolerance"] == f"1/{2**14281}"
+
+
 def test_parse_point_vector_and_char_list():
     vec = parse_point_vector("1/2,quad:(-1+1*sqrt(5))/2")
     assert vec == (CirclePoint.rational(1, 2), GOLDEN)
