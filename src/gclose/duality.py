@@ -513,8 +513,7 @@ class _Membership:
     there, and gives one exact row per surd base the generators use at j
     and one congruence mod D_j; each torsion factor gives one congruence.
     The lattice the system's columns span, one per generator and one per
-    congruence holding its modulus, is kept in row Hermite form, taken
-    modulo the lcm of the moduli when there are no exact rows."""
+    congruence holding its modulus, is kept in row Hermite form."""
 
     def __init__(self, subgroup: "DualSubgroup"):
         ambient = subgroup.ambient
@@ -539,9 +538,7 @@ class _Membership:
         width = len(rows)
         columns = [[row[i] for row, _ in rows] for i in range(len(gens))]
         columns += [[m * (k == t) for k in range(width)] for t, (_, m) in enumerate(rows) if m]
-        moduli = [m for _, m in rows]
-        modulus = 0 if 0 in moduli else lcm(*moduli)
-        self.lattice = row_hnf(IntMatrix.from_rows(columns, width), modulus)
+        self.lattice = row_hnf(IntMatrix.from_rows(columns, width))
 
     def contains(self, chi: Character) -> bool:
         chi = Character.make(self.ambient, chi.free, chi.torsion)
