@@ -165,16 +165,12 @@ def _duality_case(rng: random.Random):
     return ambient, gens, chis
 
 
-def _duality_cases():
+def render_duality_answers() -> str:
     rng = random.Random(20261018)
+    lines = []
     for case in range(160):
         ambient, gens, chis = _duality_case(rng)
-        yield case, ambient, gens, chis, DualSubgroup.make(ambient, gens)
-
-
-def render_duality_answers() -> str:
-    lines = []
-    for case, ambient, gens, chis, h in _duality_cases():
+        h = DualSubgroup.make(ambient, gens)
         lines.append(f"case {case}: {ambient} H = {h}")
         lines.append(f"  annihilator {annihilator(h)}")
         lines.extend(f"  contains {chi} {h.contains(chi)}" for chi in chis)
