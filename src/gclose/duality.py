@@ -243,6 +243,8 @@ def row_hnf(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     stacked with D*I.  Column c's pivot is gcd(p, D) = u*p mod D, for p the
     pivot the rows give, and (D/gcd)*row, 0 in column c, stays among the
     rows still to be reduced, so the lattice loses nothing."""
+    if modulus < 0:
+        raise DualityError("negative modulus")
     cols = m.cols
     a = [[x % modulus for x in r] if modulus else list(r) for r in m.entries]
     r = 0

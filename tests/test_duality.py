@@ -142,6 +142,10 @@ def test_snf_matches_minor_gcd_oracle(rows):
 def test_row_hnf_canonical():
     h = row_hnf(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert h.entries == ((2, 0), (0, 4))
+    # modulo 6 the lattice gains 6*Z^2: (2, 4), (6, 8) and (0, 6) give (0, 2)
+    assert row_hnf(IntMatrix.from_rows([[2, 4], [6, 8]]), 6).entries == ((2, 0), (0, 2))
+    with pytest.raises(DualityError):
+        row_hnf(IntMatrix.from_rows([[2, 4]]), -6)
 
 
 def test_kernel_basis():
