@@ -9,15 +9,16 @@ Everything runs over exact integer linear algebra.  The row Hermite normal
 form is the one echelon core: it gives kernels, solvability, canonical
 sublattice bases and membership tests.  Taken modulo a multiple D of the
 lattice's exponent, it keeps every entry below D; annihilators use it that
-way.  A dual subgroup answers membership from one Hermite lattice built for
-the call.  Smith normal form is kept only where invariant factors are read:
-group presentations and closures.
+way.  Invariant factors of a presentation come from Hermite forms taken
+modulo its determinant.  A dual subgroup answers membership from one Hermite
+lattice built for the call.  Smith normal form, with its transforms, is kept
+only for the ``snf`` verb and ``closure_in_dual``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .circle import CirclePoint, SurdSum, pair
 
@@ -232,6 +233,55 @@ def _reduced(row: list[int], q: int, other: list[int], modulus: int, c: int) -> 
     return row[:c] + [x - q * y for x, y in zip(row[c:], other[c:])]
 
 
+def _sweep(a: list[list[int]], r: int, c: int, modulus: int) -> int | None:
+    """Clear column c below row r exactly: reduce every row by the one with
+    the least nonzero entry there, made positive, until one such row is
+    left.  Its index, or None when the column is already clear."""
+    while True:
+        nz = [i for i in range(r, len(a)) if a[i][c]]
+        if not nz:
+            return None
+        i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
+        if a[i0][c] < 0:
+            a[i0] = [-x for x in a[i0]]
+        if len(nz) == 1:
+            return i0
+        for i in nz:
+            if i != i0:
+                q = a[i][c] // a[i0][c]
+                if q:
+                    a[i] = _reduced(a[i], q, a[i0], modulus, c)
+
+
+def _fold(a: list[list[int]], r: int, c: int, modulus: int) -> int | None:
+    """Clear column c below row r modulo the modulus: fold every row into
+    one pivot row P by the unimodular step [s, t; -x/g, p/g], for p and x
+    the entries of P and the row in column c and s*p + t*x = g = gcd(p, x).
+    The pivot goes to row r and rows left zero are dropped.  r, or None
+    when the column is already clear."""
+    pivot, rest = None, []
+    for row in a[r:]:
+        x = row[c]
+        if x and pivot is None:
+            pivot = row
+            continue
+        if x and x % pivot[c] == 0:
+            row = _reduced(row, x // pivot[c], pivot, modulus, c)
+        elif x:
+            p = pivot[c]
+            g = gcd(p, x)
+            s = pow(p // g, -1, x // g)
+            t, pg, xg = (g - s * p) // x, p // g, x // g
+            pivot, row = (
+                pivot[:c] + [(s * y + t * z) % modulus for y, z in zip(pivot[c:], row[c:])],
+                row[:c] + [(pg * z - xg * y) % modulus for y, z in zip(pivot[c:], row[c:])],
+            )
+        if any(row):
+            rest.append(row)
+    a[r:] = rest if pivot is None else [pivot] + rest
+    return None if pivot is None else r
+
+
 def row_hnf(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     """Canonical row Hermite normal form: echelon, positive pivots, entries
     above each pivot reduced into [0, pivot).  Zero rows are dropped, so the
@@ -242,29 +292,23 @@ def row_hnf(m: IntMatrix, modulus: int = 0) -> IntMatrix:
     Trotter (1987) and Cohen (1993, Alg. 2.4.8), equal to the HNF of m
     stacked with D*I.  Column c's pivot is gcd(p, D) = u*p mod D, for p the
     pivot the rows give, and (D/gcd)*row, 0 in column c, stays among the
-    rows still to be reduced, so the lattice loses nothing."""
+    rows still to be reduced, so the lattice loses nothing.
+
+    One loop serves both forms; only the step that clears a column differs.
+    Under a modulus every row is folded into the pivot by one extended-gcd
+    step (_fold), its entries kept below D.  The exact form keeps
+    least-remainder sweeps (_sweep): without a modulus the fold's Bezout
+    coefficients compound from column to column, and rendering the echelon
+    and duality-answer corpora took 24 s with an exact fold against 2.3 s
+    with the sweep (CPython 3.11.7, shared 2-core host)."""
     if modulus < 0:
         raise DualityError("negative modulus")
     cols = m.cols
     a = [[x % modulus for x in r] if modulus else list(r) for r in m.entries]
+    clear = _fold if modulus else _sweep
     r = 0
     for c in range(cols):
-        pivot = None
-        while True:
-            nz = [i for i in range(r, len(a)) if a[i][c]]
-            if not nz:
-                break
-            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
-            if a[i0][c] < 0:
-                a[i0] = [-x for x in a[i0]]
-            if len(nz) == 1:
-                pivot = i0
-                break
-            for i in nz:
-                if i != i0:
-                    q = a[i][c] // a[i0][c]
-                    if q:
-                        a[i] = _reduced(a[i], q, a[i0], modulus, c)
+        pivot = clear(a, r, c, modulus)
         if modulus:
             row = a.pop(pivot) if pivot is not None else [0] * cols
             h = gcd(row[c], modulus)
@@ -318,6 +362,17 @@ def system_solvable(m: IntMatrix, b: tuple[int, ...] | list[int]) -> bool:
     return _rowspan_contains(row_hnf(m.transpose()), tuple(b))
 
 
+def _divisibility_chain(values) -> list[int]:
+    """Positive integers d_i, each pair (d_i, d_j), i < j, replaced by
+    (gcd, lcm) in turn: a selection sort of every prime's exponents, so the
+    result d1 | d2 | ... is the invariant factors of diag(values)."""
+    d = list(values)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return d
+
+
 @dataclass(frozen=True)
 class FgAbelianGroup:
     """Z^free_rank + Z/d1 + ... + Z/dm with 2 <= d1 | d2 | ... | dm."""
@@ -338,16 +393,11 @@ class FgAbelianGroup:
 
     @classmethod
     def from_torsion(cls, free_rank: int, moduli: tuple[int, ...]) -> "FgAbelianGroup":
-        """Canonicalize an arbitrary torsion list into invariant factors."""
+        """Canonicalize an arbitrary torsion list into invariant factors: the
+        divisibility chain of diag(moduli)."""
         if any(d < 1 for d in moduli):
             raise DualityError("torsion moduli must be positive")
-        diag = IntMatrix.from_rows(
-            [[moduli[i] if i == j else 0 for j in range(len(moduli))] for i in range(len(moduli))],
-            len(moduli),
-        )
-        _, d, _ = smith_normal_form(diag)
-        factors = tuple(x for x in d.diagonal() if x > 1)
-        return cls(free_rank, factors)
+        return cls(free_rank, tuple(x for x in _divisibility_chain(moduli) if x > 1))
 
     @property
     def ncoords(self) -> int:
@@ -387,6 +437,18 @@ def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbelianG
 
     ``relations`` must have exactly ``generators`` columns; each row states
     one Z-linear relation among the generators.
+
+    The invariant factors come from Hermite forms alone (Kannan & Bachem,
+    1979; Cohen, 1993, Alg. 2.4.14).  H = row_hnf(relations) has rank r,
+    and K = row_hnf(H^T) is r x r, upper triangular, with the same nonzero
+    Smith entries and |det K| = Delta, the product of its pivots.  Then K
+    is replaced by the Hermite form of K^T, taken modulo Delta (K^T's
+    lattice contains Delta*Z^r), until K is diagonal.  Each pass turns the
+    first pivot into the gcd of K's first row, so it never grows and stays
+    put only when it divides that row; one more pass then leaves K =
+    diag(k11) + B, and the argument repeats on B, so the passes end.  The
+    diagonal, made a divisibility chain, gives the factors, and the free
+    rank is generators - r.
     """
     if generators < 0:
         raise DualityError("negative generator count")
@@ -394,11 +456,13 @@ def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbelianG
         raise DualityError(
             f"relation matrix has {relations.cols} columns for {generators} generators"
         )
-    _, d, _ = smith_normal_form(relations)
-    diag = d.diagonal()
-    factors = tuple(x for x in diag if x > 1)
-    free = generators - sum(1 for x in diag if x != 0)
-    return FgAbelianGroup(free, factors)
+    h = row_hnf(relations)
+    k = row_hnf(h.transpose())
+    delta = prod(k.diagonal())
+    while any(x for i, row in enumerate(k.entries) for x in row[i + 1 :]):
+        k = row_hnf(k.transpose(), delta)
+    factors = tuple(x for x in _divisibility_chain(k.diagonal()) if x > 1)
+    return FgAbelianGroup(generators - h.rows, factors)
 
 
 @dataclass(frozen=True)
@@ -633,11 +697,12 @@ def annihilator(subgroup: DualSubgroup) -> Sublattice:
     A quadratic coordinate contributes exact linear equations (its surd
     coefficients must cancel), the rational content one congruence per
     generator.  The exact equations go first: their integer kernel has a
-    basis B (the identity when there are none).  Over B, every congruence
-    is brought to D, the lcm of the moduli, as a row of M; the rows of
-    [M^T | I] span, together with D*Z^N, the lattice of [[M^T | I]; [D*I | 0]],
-    so its HNF is taken modulo D.  Its rows with a zero congruence part,
-    read in their I part and multiplied by B, span the annihilator.
+    basis B (the identity when there are none, which is then not applied).
+    Over B, every congruence is brought to D, the lcm of the moduli, as a
+    row of M; the rows of [M^T | I] span, together with D*Z^N, the lattice
+    of [[M^T | I]; [D*I | 0]], so its HNF is taken modulo D.  Its rows with
+    a zero congruence part, read in their I part and multiplied by B, span
+    the annihilator.
     """
     ambient = subgroup.ambient
     n = ambient.ncoords
@@ -649,20 +714,21 @@ def annihilator(subgroup: DualSubgroup) -> Sublattice:
         for d in sorted({p.surd for p in points if not p.is_rational}):
             exact.append(_cleared([(p.surd_coeff * (p.surd == d), p.den) for p in points])[0])
         congruences.append(_cleared([(p.num, p.den) for p in points]))
-    if exact:
-        basis = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(exact, n)), n)
-    else:
-        basis = IntMatrix.identity(n)
     modulus = lcm(*(m for _, m in congruences))
     scaled = IntMatrix.from_rows([[modulus // m * x for x in row] for row, m in congruences], n)
-    width, k = scaled.rows, basis.rows
+    if exact:
+        basis = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(exact, n)), n)
+        scaled = scaled @ basis.transpose()
+    width, k = scaled.rows, scaled.cols
     stacked = [
         list(row) + [int(i == j) for j in range(k)]
-        for i, row in enumerate((basis @ scaled.transpose()).entries)
+        for i, row in enumerate(scaled.transpose().entries)
     ]
     hnf = row_hnf(IntMatrix.from_rows(stacked, width + k), modulus)
-    kernel = IntMatrix.from_rows([row[width:] for row in hnf.entries if not any(row[:width])], k)
-    return Sublattice.from_generators(ambient, list((kernel @ basis).entries))
+    kernel = [row[width:] for row in hnf.entries if not any(row[:width])]
+    if exact:
+        kernel = list((IntMatrix.from_rows(kernel, k) @ basis).entries)
+    return Sublattice.from_generators(ambient, kernel)
 
 
 @dataclass(frozen=True)

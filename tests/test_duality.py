@@ -10,12 +10,13 @@ replaced, kept here as the reference: one chi-scaled system per
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclose import duality
 from gclose.circle import CirclePoint, SurdSum
 from gclose.cli import Command, run
 from gclose.duality import (
@@ -242,6 +243,32 @@ def test_hnf_modulo_d_is_the_hnf_of_the_rows_stacked_with_d(shaped, d):
     assert all(0 <= x <= d for row in modular.entries for x in row)
 
 
+
+def test_hnf_modulo_d_matches_the_stacked_hnf_at_annihilator_sizes():
+    """10-16 rows by 20-32 columns, as radical-large builds [M^T | I], and
+    dense rows of the same shape; D = 1, D = 2^64, random D below 2^64 and
+    lcms of small moduli."""
+    rng = random.Random(20261105)
+    seen = set()
+    for case in range(96):
+        rows, width = rng.randint(10, 16), rng.randint(10, 16)
+        d = (1, 2**64, rng.randint(2, 2**64), lcm(*range(1, rng.randint(3, 31))))[case % 4]
+        if case % 8 < 4:
+            entries = [
+                [rng.randrange(d) for _ in range(width)] + [int(i == j) for j in range(rows)]
+                for i in range(rows)
+            ]
+        else:
+            entries = [[rng.randint(-d, d) for _ in range(width + rows)] for _ in range(rows)]
+        cols = width + rows
+        stacked = entries + [[d * (i == j) for j in range(cols)] for i in range(cols)]
+        modular = row_hnf(IntMatrix.from_rows(entries, cols), d)
+        assert modular == row_hnf(IntMatrix.from_rows(stacked, cols)), (case, d)
+        assert all(0 <= x <= d for row in modular.entries for x in row)
+        seen.add(modular.diagonal().count(1) < cols)
+    assert seen == {True, False}
+
+
 # groups and presentations ----------------------------------------------------
 
 
@@ -270,6 +297,105 @@ def test_from_torsion_canonicalizes():
 def test_invariant_chain_enforced():
     with pytest.raises(DualityError):
         FgAbelianGroup(0, (4, 6))
+
+
+
+def smith_presentation(m: IntMatrix) -> FgAbelianGroup:
+    """Reference: the quotient read off smith_normal_form's diagonal, free
+    rank the columns less its nonzero entries, factors its entries above 1."""
+    diag = smith_normal_form(m)[1].diagonal()
+    return FgAbelianGroup(m.cols - sum(1 for x in diag if x), tuple(x for x in diag if x > 1))
+
+
+def _seeded_presentation(rng: random.Random, rows: int, cols: int) -> IntMatrix:
+    """One in twenty is zero; four in ten are a product through a narrower
+    middle, so often rank-deficient; the others have entries up to 1000,
+    their rows scaled by 2, 6 or 30 at random, which gives longer
+    divisibility chains."""
+    kind = rng.random()
+    if kind < 0.05:
+        return IntMatrix.zeros(rows, cols)
+    if kind < 0.45:
+        rank = rng.randint(0, min(rows, cols))
+        left = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)], rank)
+        right = IntMatrix.from_rows([[rng.randint(-150, 150) for _ in range(cols)] for _ in range(rank)], cols)
+        return left @ right
+    scale = [rng.choice((1, 1, 1, 2, 6, 30)) for _ in range(rows)]
+    return IntMatrix.from_rows(
+        [[f * rng.randint(-1000 // f, 1000 // f) for _ in range(cols)] for f in scale], cols
+    )
+
+
+def test_invariant_factors_match_the_smith_diagonal():
+    rng = random.Random(20261104)
+    cases = [_seeded_presentation(rng, rng.randint(0, 8), rng.randint(0, 8)) for _ in range(2400)]
+    cases += [_seeded_presentation(rng, n, n) for n in (rng.randint(10, 16) for _ in range(60))]
+    seen = {"empty": 0, "zero": 0, "mixed": 0, "chain": 0, "square": 0}
+    for m in cases:
+        g = group_from_presentation(m, m.cols)
+        assert g == smith_presentation(m), str(m)
+        seen["empty"] += not (m.rows and m.cols)
+        seen["zero"] += bool(m.rows and m.cols) and not any(map(any, m.entries))
+        seen["mixed"] += bool(g.free_rank and g.invariant_factors)
+        seen["chain"] += len(g.invariant_factors) >= 3
+        seen["square"] += m.rows == m.cols >= 10
+    assert min(seen.values()) >= 50, seen
+
+
+
+def _parsed(text: str, cols: int) -> IntMatrix:
+    return IntMatrix.from_rows([[int(x) for x in row.split(",")] for row in text.split(";") if row], cols)
+
+
+# Hermite alternation needs a second pass on these; after one pass their
+# diagonal reads Z/6 + Z/54, Z + Z/4 + Z/24, Z/2 + Z/78 and Z/4 + Z/108
+SECOND_PASS = [
+    ("4,0,0;2,9,3;4,0,9", 3, "Z/3 + Z/108"),
+    ("0,16,0,0;9,4,2,0;0,0,4,6", 4, "Z + Z/2 + Z/48"),
+    ("16,8,1;3,0,0;0,12,8", 3, "Z/156"),
+    ("8,0,0;12,9,8;8,0,6", 3, "Z/2 + Z/216"),
+]
+
+
+@pytest.mark.parametrize("relations,generators,group", SECOND_PASS)
+def test_presentations_that_need_a_second_hermite_pass(relations, generators, group):
+    m = _parsed(relations, generators)
+    assert str(group_from_presentation(m, generators)) == group == str(smith_presentation(m))
+
+
+def test_invariant_factor_passes_run_modulo_the_determinant(monkeypatch):
+    """Two exact Hermite forms, then every pass modulo Delta, the product
+    of the invariant factors, with its entries at most Delta."""
+    calls = []
+
+    def spy(m, modulus=0):
+        calls.append((modulus, row_hnf(m, modulus)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(duality, "row_hnf", spy)
+    rng = random.Random(20261107)
+    cases = [_parsed(text, n) for text, n, _ in SECOND_PASS]
+    cases += [_parsed("2,4,6,0,8;6,12,18,0,24;0,0,10,4,2", 5), _parsed("", 3)]
+    cases += [_seeded_presentation(rng, rng.randint(0, 8), rng.randint(0, 8)) for _ in range(200)]
+    passes = 0
+    for m in cases:
+        calls.clear()
+        g = group_from_presentation(m, m.cols)
+        delta = prod(g.invariant_factors)
+        assert [modulus for modulus, _ in calls[:2]] == [0, 0]
+        for modulus, out in calls[2:]:
+            assert modulus == delta and all(0 <= x <= delta for row in out.entries for x in row)
+        passes += len(calls) > 2
+    assert passes > 20
+
+
+def test_from_torsion_matches_the_smith_diagonal():
+    rng = random.Random(20261106)
+    for _ in range(500):
+        moduli = [rng.choice((1, 2, 3, 4, 6, 8, 9, 12, 25, 30, 1000)) for _ in range(rng.randint(0, 8))]
+        diag = IntMatrix.from_rows([[d * (i == j) for j in range(len(moduli))] for i, d in enumerate(moduli)], len(moduli))
+        expected = smith_presentation(diag).invariant_factors
+        assert FgAbelianGroup.from_torsion(2, tuple(moduli)) == FgAbelianGroup(2, expected)
 
 
 # annihilators ----------------------------------------------------------------
