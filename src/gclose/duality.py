@@ -233,7 +233,7 @@ def _reduced(row: list[int], q: int, other: list[int], modulus: int, c: int) -> 
     return row[:c] + [x - q * y for x, y in zip(row[c:], other[c:])]
 
 
-def _sweep(a: list[list[int]], r: int, c: int, modulus: int) -> int | None:
+def _sweep(a: list[list[int]], r: int, c: int) -> int | None:
     """Clear column c below row r exactly: reduce every row by the one with
     the least nonzero entry there, made positive, until one such row is
     left.  Its index, or None when the column is already clear."""
@@ -250,7 +250,7 @@ def _sweep(a: list[list[int]], r: int, c: int, modulus: int) -> int | None:
             if i != i0:
                 q = a[i][c] // a[i0][c]
                 if q:
-                    a[i] = _reduced(a[i], q, a[i0], modulus, c)
+                    a[i] = _reduced(a[i], q, a[i0], 0, c)
 
 
 def _fold(a: list[list[int]], r: int, c: int, modulus: int) -> int | None:
@@ -305,10 +305,9 @@ def row_hnf(m: IntMatrix, modulus: int = 0) -> IntMatrix:
         raise DualityError("negative modulus")
     cols = m.cols
     a = [[x % modulus for x in r] if modulus else list(r) for r in m.entries]
-    clear = _fold if modulus else _sweep
     r = 0
     for c in range(cols):
-        pivot = clear(a, r, c, modulus)
+        pivot = _fold(a, r, c, modulus) if modulus else _sweep(a, r, c)
         if modulus:
             row = a.pop(pivot) if pivot is not None else [0] * cols
             h = gcd(row[c], modulus)

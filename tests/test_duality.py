@@ -2,7 +2,8 @@
 
 The SNF example diag(2,4) is frozen from the minor-gcd oracle: d1 = gcd of
 all entries = 2, d1*d2 = |det| = 8.  Annihilator and closure examples are
-frozen from hand computation (cleared-denominator congruences).  Membership
+frozen from hand computation (cleared-denominator congruences).  Invariant
+factors from Hermite forms are checked against the Smith diagonal.  Membership
 lattices and annihilators are checked against the integer systems they
 replaced, kept here as the reference: one chi-scaled system per
 ``contains`` call, and the kernel of all equations and congruences at once.
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from gclose import duality
 from gclose.circle import CirclePoint, SurdSum
-from gclose.cli import Command, run
+from gclose.cli import Command, parse_int_matrix, run
 from gclose.duality import (
     Character,
     DualSubgroup,
@@ -243,7 +244,6 @@ def test_hnf_modulo_d_is_the_hnf_of_the_rows_stacked_with_d(shaped, d):
     assert all(0 <= x <= d for row in modular.entries for x in row)
 
 
-
 def test_hnf_modulo_d_matches_the_stacked_hnf_at_annihilator_sizes():
     """10-16 rows by 20-32 columns, as radical-large builds [M^T | I], and
     dense rows of the same shape; D = 1, D = 2^64, random D below 2^64 and
@@ -299,7 +299,6 @@ def test_invariant_chain_enforced():
         FgAbelianGroup(0, (4, 6))
 
 
-
 def smith_presentation(m: IntMatrix) -> FgAbelianGroup:
     """Reference: the quotient read off smith_normal_form's diagonal, free
     rank the columns less its nonzero entries, factors its entries above 1."""
@@ -342,25 +341,20 @@ def test_invariant_factors_match_the_smith_diagonal():
     assert min(seen.values()) >= 50, seen
 
 
-
-def _parsed(text: str, cols: int) -> IntMatrix:
-    return IntMatrix.from_rows([[int(x) for x in row.split(",")] for row in text.split(";") if row], cols)
-
-
 # Hermite alternation needs a second pass on these; after one pass their
 # diagonal reads Z/6 + Z/54, Z + Z/4 + Z/24, Z/2 + Z/78 and Z/4 + Z/108
 SECOND_PASS = [
-    ("4,0,0;2,9,3;4,0,9", 3, "Z/3 + Z/108"),
-    ("0,16,0,0;9,4,2,0;0,0,4,6", 4, "Z + Z/2 + Z/48"),
-    ("16,8,1;3,0,0;0,12,8", 3, "Z/156"),
-    ("8,0,0;12,9,8;8,0,6", 3, "Z/2 + Z/216"),
+    ("4,0,0;2,9,3;4,0,9", "Z/3 + Z/108"),
+    ("0,16,0,0;9,4,2,0;0,0,4,6", "Z + Z/2 + Z/48"),
+    ("16,8,1;3,0,0;0,12,8", "Z/156"),
+    ("8,0,0;12,9,8;8,0,6", "Z/2 + Z/216"),
 ]
 
 
-@pytest.mark.parametrize("relations,generators,group", SECOND_PASS)
-def test_presentations_that_need_a_second_hermite_pass(relations, generators, group):
-    m = _parsed(relations, generators)
-    assert str(group_from_presentation(m, generators)) == group == str(smith_presentation(m))
+@pytest.mark.parametrize("relations,group", SECOND_PASS)
+def test_presentations_that_need_a_second_hermite_pass(relations, group):
+    m = parse_int_matrix(relations)
+    assert str(group_from_presentation(m, m.cols)) == group == str(smith_presentation(m))
 
 
 def test_invariant_factor_passes_run_modulo_the_determinant(monkeypatch):
@@ -374,8 +368,8 @@ def test_invariant_factor_passes_run_modulo_the_determinant(monkeypatch):
 
     monkeypatch.setattr(duality, "row_hnf", spy)
     rng = random.Random(20261107)
-    cases = [_parsed(text, n) for text, n, _ in SECOND_PASS]
-    cases += [_parsed("2,4,6,0,8;6,12,18,0,24;0,0,10,4,2", 5), _parsed("", 3)]
+    cases = [parse_int_matrix(text) for text, _ in SECOND_PASS]
+    cases += [parse_int_matrix("2,4,6,0,8;6,12,18,0,24;0,0,10,4,2"), IntMatrix.from_rows([], cols=3)]
     cases += [_seeded_presentation(rng, rng.randint(0, 8), rng.randint(0, 8)) for _ in range(200)]
     passes = 0
     for m in cases:
