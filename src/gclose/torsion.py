@@ -39,7 +39,10 @@ nonzero vector of length k; norm(<u_n, h>) <= 2^-n for every h; given an
 escape character chi, len(chi) = k, 0 < delta <= 1/2 and norm(<u_n, chi>)
 >= delta.  Producers run it on their own output; re-checkers run it and
 compare each stored index, term, envelope and threshold with n, u_n, 2^-n
-and delta.
+and delta.  A term equal to the one before reuses its pairings.
+
+One staged search, _staged_search, produces null sequences and escape
+witnesses alike: a null sequence is a witness without the escape condition.
 """
 
 from __future__ import annotations
@@ -1124,30 +1127,29 @@ def _verify_terms(
     """The certificate verifier of the module docstring, on the first count
     terms of seq.  Returns per n (u_n, the generator pairings, the chi pairing
     or None), so producers derive display bounds without pairing again; None
-    as soon as one claim fails."""
+    as soon as one claim fails.  A term equal to the one before reuses its
+    pairings; every norm is still compared at every n."""
     k = topology.ambient.free_rank
     if count < 1:
         return None
     if chi is not None and (len(chi) != k or not 0 < delta <= Fraction(1, 2)):
         return None
     checked = []
+    previous = None
     try:
         for n, term in enumerate(islice(seq.walk(0, 1), count)):
-            if len(term) != k or not any(term):
-                return None
+            if term != previous:
+                if len(term) != k or not any(term):
+                    return None
+                values = tuple(pair(term, h) for h in topology.characters)
+                escape = None if chi is None else pair(term, chi)
+                previous = term
             envelope = Fraction(1, 2**n)
-            values = []
-            for h in topology.characters:
-                value = pair(term, h)
-                if value.norm_cmp(envelope) > 0:
-                    return None
-                values.append(value)
-            escape = None
-            if chi is not None:
-                escape = pair(term, chi)
-                if escape.norm_cmp(delta) < 0:
-                    return None
-            checked.append((term, tuple(values), escape))
+            if any(value.norm_cmp(envelope) > 0 for value in values):
+                return None
+            if escape is not None and escape.norm_cmp(delta) < 0:
+                return None
+            checked.append((term, values, escape))
     except ValueError:  # a malformed point
         return None
     return checked if len(checked) == count else None  # None if seq ended early
@@ -1167,58 +1169,240 @@ def _null_terms(checked) -> tuple[NullTermCert, ...]:
     )
 
 
+# ---------------------------------------------------------------------------
+# the staged search, for null sequences (no chi) and escape witnesses (chi)
+
+# scales 2^e of the lattice pools, in the order the lattice stage reads them
+_SCALE_EXPONENTS = (4, 8, 16, 32, 64, 128, 192)
+
+
+class _CandidateCounter:
+    def __init__(self, limit: int):
+        self.used = 0
+        self.limit = limit
+
+    def spend(self) -> bool:
+        self.used += 1
+        return self.used <= self.limit
+
+
+def _annihilator_candidates(generators, radius: int) -> list[tuple[int, ...]]:
+    """Sign-canonical integer combinations with coefficients in [-r, r]."""
+    dim = len(generators[0])
+    combos: set[tuple[int, ...]] = set()
+    stack = [()]
+    for g in generators:
+        stack = [s + (c,) for s in stack for c in range(-radius, radius + 1)]
+    for coeffs in stack:
+        vec = tuple(
+            sum(c * g[i] for c, g in zip(coeffs, generators)) for i in range(dim)
+        )
+        if not any(vec):
+            continue
+        lead = next(x for x in vec if x)
+        if lead < 0:
+            vec = tuple(-x for x in vec)
+        combos.add(vec)
+    return sorted(combos, key=lambda v: (max(abs(x) for x in v), v))
+
+
+class _TopologyWork:
+    """What the searches of one public call derive from the topology alone,
+    each built on first use: the radical's generators, the annihilator
+    candidates per radius and the lattice pool per scale exponent.  Every
+    rung of a ladder, and every probe of a bds run, shares one; nothing
+    outlives the call that made it."""
+
+    def __init__(self, topology: PrecompactTopology):
+        self.topology = topology
+        self._generators = None
+        self._combos: dict[int, list[tuple[int, ...]]] = {}
+        self._pools: dict[int, list[tuple[int, ...]]] = {}
+
+    def generators(self):
+        if self._generators is None:
+            self._generators = von_neumann_radical(self.topology).element_generators()
+        return self._generators
+
+    def combos(self, radius: int) -> list[tuple[int, ...]]:
+        if radius not in self._combos:
+            self._combos[radius] = _annihilator_candidates(self.generators(), radius)
+        return self._combos[radius]
+
+    def pool(self, exponent: int) -> list[tuple[int, ...]]:
+        if exponent not in self._pools:
+            self._pools[exponent] = approximation_candidates(
+                self.topology.characters, 2**exponent
+            )
+        return self._pools[exponent]
+
+
+@dataclass(frozen=True)
+class _Found:
+    """A sequence that passed _verify_terms, the strategy that found it and
+    the rows _verify_terms returned."""
+
+    sequence: IntVecSeq
+    strategy: str
+    rows: list
+
+
+@dataclass(frozen=True)
+class _Failed:
+    """The search gave up; no claim is made."""
+
+    reason: str
+    candidates_used: int
+
+
+def _try(seq, strategy, work, count, chi, delta) -> _Found | None:
+    rows = _verify_terms(seq, work.topology, count, chi, delta)
+    return None if rows is None else _Found(seq, strategy, rows)
+
+
+def _stage_annihilator(work, chi, delta, count, counter) -> _Found | None:
+    """The first sign-canonical radical combination whose chi pairing
+    escapes; with no chi, the first one."""
+    if not work.generators():
+        return None
+    tried: set[tuple[int, ...]] = set()
+    for radius in (1, 2, 3):
+        for a in work.combos(radius):
+            if a in tried:
+                continue
+            tried.add(a)
+            if not counter.spend():
+                return None
+            if chi is None or pair(a, chi).norm_cmp(delta) >= 0:
+                found = _try(Constant(a), "annihilator", work, count, chi, delta)
+                if found is not None:
+                    return found
+    return None
+
+
+def _stage_cf(work, chi, delta, count, counter) -> _Found | None:
+    """One irrational character on Z: every other convergent denominator
+    with no chi, otherwise strided walks over the residue classes of the chi
+    orbit that escape, largest norm first."""
+    topology = work.topology
+    chars = topology.characters
+    if topology.ambient.free_rank != 1 or len(chars) != 1 or chars[0][0].is_rational:
+        return None
+    alpha = chars[0][0]
+    if chi is None:
+        # q_{2n+1} >= 2^n, so norm(q_{2n} * alpha) < 1/q_{2n+1} <= 2^-n
+        seq = Subsequence(CFDenominators(alpha), 2, 0)
+        return _try(seq, "cf-denominators", work, count, None, None)
+    pairing = _cf_pairing(alpha, chi[0])
+    if pairing is None:
+        return None
+    w, modulus = pairing
+    orbit = _orbit(CFDenominators(alpha), w, modulus)
+    if orbit is None:
+        return None
+    first, period = orbit.first, orbit.period
+    classes = []
+    for pos, v in zip(range(period), orbit.walk(first, 1)):
+        norm = Fraction(min(v, modulus - v), modulus)
+        if v and norm >= delta:
+            classes.append((norm, pos))
+    classes.sort(key=lambda t: (-t[0], t[1]))
+    stride = period if period >= 2 else 2
+    for _, pos in classes:
+        for shift in (0, 1, 2, 4, 8, 16):
+            if not counter.spend():
+                return None
+            seq = Subsequence(CFDenominators(alpha), stride, first + pos + shift * stride)
+            found = _try(seq, "cf-subsequence", work, count, chi, delta)
+            if found is not None:
+                return found
+    return None
+
+
+def _stage_lattice(work, chi, delta, count, counter) -> _Found | _Failed:
+    """Per term n, the first candidate of the pools, smallest scale first,
+    that meets the envelope 2^-n (and escapes chi).  A candidate that fails
+    either test is ruled out for good: its chi pairing does not change, and
+    the envelope only shrinks."""
+    chars = work.topology.characters
+    terms: list[tuple[int, ...]] = []
+    ruled_out: set[tuple[int, ...]] = set()
+    for n in range(count):
+        envelope = Fraction(1, 2**n)
+        term = None
+        for a in chain.from_iterable(work.pool(e) for e in _SCALE_EXPONENTS):
+            if a in ruled_out:
+                continue
+            if not counter.spend():
+                return _Failed(f"candidate budget exhausted at term {n}", counter.used)
+            # escape first: for rational chi it is one integer comparison
+            if (chi is not None and pair(a, chi).norm_cmp(delta) < 0) or any(
+                pair(a, h).norm_cmp(envelope) > 0 for h in chars
+            ):
+                ruled_out.add(a)
+                continue
+            term = a
+            break
+        if term is None:
+            escape = "" if chi is None else f" with escape >= {delta}"
+            return _Failed(
+                f"no candidate met envelope {envelope}{escape} at term {n}",
+                counter.used,
+            )
+        terms.append(term)
+    found = _try(Explicit(tuple(terms)), "lattice-approximation", work, count, chi, delta)
+    # defensive: every term was verified on its own
+    return found or _Failed("assembled terms failed final certification", counter.used)
+
+
+def _staged_search(
+    work: _TopologyWork,
+    budget: Budget,
+    chi: tuple[CirclePoint, ...] | None = None,
+    delta: Fraction | None = None,
+) -> _Found | _Failed:
+    """A null sequence for work's topology, escaping chi by delta when chi
+    is given.  Stages in order: a constant e_1 when there are no characters
+    (null search only), annihilator, continued fraction, lattice.  One
+    candidate counter of budget.max_candidates serves every stage."""
+    topology = work.topology
+    count = budget.max_terms
+    if chi is None and not topology.characters:
+        e1 = (1,) + (0,) * (topology.ambient.free_rank - 1)
+        return _try(Constant(e1), "indiscrete", work, count, None, None)
+    counter = _CandidateCounter(budget.max_candidates)
+    for stage, name in ((_stage_annihilator, "annihilator"), (_stage_cf, "subsequence")):
+        found = stage(work, chi, delta, count, counter)
+        if found is not None:
+            return found
+        if counter.used >= counter.limit:
+            return _Failed(f"candidate budget exhausted in {name} stage", counter.used)
+    if not topology.characters:
+        # indiscrete topology: the annihilator stage already enumerated Z^k
+        return _Failed("no escaping vector found for the indiscrete topology", counter.used)
+    return _stage_lattice(work, chi, delta, count, counter)
+
+
 def null_sequence(
     topology: PrecompactTopology, budget: Budget | None = None
 ) -> NullSequenceResult | NotFound:
     """A nonzero integer sequence converging to 0 in the given topology,
     with a per-term exact certificate (envelope 2^-n), or NotFound.
 
-    Strategies, in order: a nonzero annihilator vector gives a constant
-    sequence; a single quadratic character on Z is handled by every other
-    continued-fraction denominator of that point; otherwise per-term lattice
-    reduction searches for simultaneous approximations.
+    This is the staged search with no escape character: e_1 when there are
+    no characters; else a nonzero annihilator vector as a constant
+    sequence; else, for a single quadratic character on Z, every other
+    continued-fraction denominator of that point; else per-term lattice
+    approximation over the shared scale pools.
     """
-    budget = budget or Budget()
-    k = topology.ambient.free_rank
-    chars = topology.characters
-    count = budget.max_terms
-    if not chars:
-        seq, strategy = Constant((1,) + (0,) * (k - 1)), "indiscrete"
-    elif gens := von_neumann_radical(topology).element_generators():
-        seq = Constant(min(gens, key=lambda g: (max(abs(c) for c in g), g)))
-        strategy = "annihilator"
-    elif k == 1 and len(chars) == 1 and not chars[0][0].is_rational:
-        # q_{2n+1} >= 2^n, so norm(q_{2n} * alpha) < 1/q_{2n+1} <= 2^-n
-        seq = Subsequence(CFDenominators(chars[0][0]), 2, 0)
-        strategy = "cf-denominators"
-    else:
-        used = 0
-        terms: list[tuple[int, ...]] = []
-        for n in range(count):
-            envelope = Fraction(1, 2**n)
-            found = None
-            scale = 2 ** (n + 4)
-            while found is None and scale <= 2**192:
-                for cand in approximation_candidates(chars, scale):
-                    used += 1
-                    if used > budget.max_candidates:
-                        return NotFound(
-                            f"candidate budget {budget.max_candidates} exhausted "
-                            f"at term {n}"
-                        )
-                    ok = all(pair(cand, h).norm_cmp(envelope) <= 0 for h in chars)
-                    if ok and any(cand):
-                        found = cand
-                        break
-                scale *= 2**8
-            if found is None:
-                return NotFound(f"no candidate met envelope {envelope} at term {n}")
-            terms.append(found)
-        seq, strategy = Explicit(tuple(terms)), "lattice-approximation"
-    checked = _verify_terms(seq, topology, count)
-    if checked is None:  # every strategy above is exact; defensive
-        raise TorsionError(f"{strategy} null sequence failed its own certificate")
-    return NullSequenceResult(seq, NullCertificate(strategy, _null_terms(checked)))
+    if not topology.ambient.free_rank:
+        raise TorsionError("Z^0 has no nonzero vector, so no null sequence")
+    result = _staged_search(_TopologyWork(topology), budget or Budget())
+    if isinstance(result, _Failed):
+        return NotFound(result.reason)
+    return NullSequenceResult(
+        result.sequence, NullCertificate(result.strategy, _null_terms(result.rows))
+    )
 
 
 def recheck_null_certificate(

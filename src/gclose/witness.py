@@ -8,8 +8,10 @@ far from 0 on it (norm >= delta per term).
 Only torsion._verify_terms is trusted.  For each n below the certificate
 length (>= 1) it checks exactly: a_n is nonzero of length k; norm(<a_n, h>)
 <= 2^-n for every generator h of H; len(chi) = k, 0 < delta <= 1/2 and
-norm(<a_n, chi>) >= delta.  Searches may use any heuristic; they run it on
-each candidate, and check_witness reruns it on a stored witness.
+norm(<a_n, chi>) >= delta.  The search is torsion's staged search, run
+with chi as its escape character (null_sequence runs it without one).  It
+runs _verify_terms on each candidate, and check_witness reruns it on a
+stored witness.
 
 An Exhausted result asserts nothing: failure to find a witness is consistent
 with membership, never proof of it.
@@ -21,21 +23,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .circle import CirclePoint, int_mul, pair
-from .duality import PrecompactTopology, von_neumann_radical
-from .lattice import approximation_candidates
+from .circle import CirclePoint, int_mul
+from .duality import PrecompactTopology
 from .torsion import (
     Budget,
     CFDenominators,
-    Constant,
-    Explicit,
     IntVecSeq,
     NullTermCert,
-    Subsequence,
     Verdict,
-    _cf_pairing,
+    _Failed,
     _null_terms,
-    _orbit,
+    _staged_search,
+    _TopologyWork,
     _verify_terms,
     t_membership,
 )
@@ -61,8 +60,6 @@ DEFAULT_DELTA_LADDER = (
     Fraction(1, 6),
     Fraction(1, 12),
 )
-
-_SCALE_EXPONENTS = (4, 8, 16, 32, 64, 128)
 
 
 class WitnessError(ValueError):
@@ -124,184 +121,6 @@ def _validate(topology: PrecompactTopology, chi, delta: Fraction):
     return chi, delta
 
 
-def _certify(
-    seq: IntVecSeq,
-    topology: PrecompactTopology,
-    chi: tuple[CirclePoint, ...],
-    delta: Fraction,
-    count: int,
-    strategy: str,
-) -> Witness | None:
-    """The witness for seq if it passes _verify_terms, else None; escape
-    norms are display lower bounds computed to within delta/8."""
-    checked = _verify_terms(seq, topology, count, chi, delta)
-    if checked is None:
-        return None
-    escapes = tuple(
-        EscapeTermCert(n, term, escape.norm_enclosure(delta / 8).lower, delta)
-        for n, (term, _, escape) in enumerate(checked)
-    )
-    return Witness(seq, delta, _null_terms(checked), escapes, strategy)
-
-
-class _CandidateCounter:
-    def __init__(self, limit: int):
-        self.used = 0
-        self.limit = limit
-
-    def spend(self) -> bool:
-        self.used += 1
-        return self.used <= self.limit
-
-
-def _annihilator_candidates(generators, radius: int) -> list[tuple[int, ...]]:
-    """Sign-canonical integer combinations with coefficients in [-r, r]."""
-    dim = len(generators[0])
-    combos: set[tuple[int, ...]] = set()
-    stack = [()]
-    for g in generators:
-        stack = [s + (c,) for s in stack for c in range(-radius, radius + 1)]
-    for coeffs in stack:
-        vec = tuple(
-            sum(c * g[i] for c, g in zip(coeffs, generators)) for i in range(dim)
-        )
-        if not any(vec):
-            continue
-        lead = next(x for x in vec if x)
-        if lead < 0:
-            vec = tuple(-x for x in vec)
-        combos.add(vec)
-    return sorted(combos, key=lambda v: (max(abs(x) for x in v), v))
-
-
-class _TopologyWork:
-    """What the searches of one public call derive from the topology alone,
-    each built on first use: the radical's generators, the annihilator
-    candidates per radius and the lattice pool per scale exponent.  Every
-    rung of a ladder, and every probe of a bds run, shares one; nothing
-    outlives the call that made it."""
-
-    def __init__(self, topology: PrecompactTopology):
-        self.topology = topology
-        self._generators = None
-        self._combos: dict[int, list[tuple[int, ...]]] = {}
-        self._pools: dict[int, list[tuple[int, ...]]] = {}
-
-    def generators(self):
-        if self._generators is None:
-            self._generators = von_neumann_radical(self.topology).element_generators()
-        return self._generators
-
-    def combos(self, radius: int) -> list[tuple[int, ...]]:
-        if radius not in self._combos:
-            self._combos[radius] = _annihilator_candidates(self.generators(), radius)
-        return self._combos[radius]
-
-    def pool(self, exponent: int) -> list[tuple[int, ...]]:
-        if exponent not in self._pools:
-            self._pools[exponent] = approximation_candidates(
-                self.topology.characters, 2**exponent
-            )
-        return self._pools[exponent]
-
-
-def _stage_annihilator(work, chi, delta, count, counter) -> Witness | None:
-    if not work.generators():
-        return None
-    tried: set[tuple[int, ...]] = set()
-    for radius in (1, 2, 3):
-        for a in work.combos(radius):
-            if a in tried:
-                continue
-            tried.add(a)
-            if not counter.spend():
-                return None
-            if pair(a, chi).norm_cmp(delta) >= 0:
-                witness = _certify(
-                    Constant(a), work.topology, chi, delta, count, "annihilator"
-                )
-                if witness is not None:
-                    return witness
-    return None
-
-
-def _stage_cf_subsequence(work, chi, delta, count, counter) -> Witness | None:
-    topology = work.topology
-    chars = topology.characters
-    if topology.ambient.free_rank != 1 or len(chars) != 1:
-        return None
-    alpha = chars[0][0]
-    if alpha.is_rational:
-        return None
-    pairing = _cf_pairing(alpha, chi[0])
-    if pairing is None:
-        return None
-    w, modulus = pairing
-    orbit = _orbit(CFDenominators(alpha), w, modulus)
-    if orbit is None:
-        return None
-    first, period = orbit.first, orbit.period
-    classes = []
-    for pos, v in zip(range(period), orbit.walk(first, 1)):
-        norm = Fraction(min(v, modulus - v), modulus)
-        if v and norm >= delta:
-            classes.append((norm, pos))
-    classes.sort(key=lambda t: (-t[0], t[1]))
-    stride = period if period >= 2 else 2
-    for _, pos in classes:
-        for shift in (0, 1, 2, 4, 8, 16):
-            if not counter.spend():
-                return None
-            seq = Subsequence(CFDenominators(alpha), stride, first + pos + shift * stride)
-            witness = _certify(seq, topology, chi, delta, count, "cf-subsequence")
-            if witness is not None:
-                return witness
-    return None
-
-
-def _stage_lattice(work, chi, delta, count, counter) -> Witness | Exhausted:
-    chars = work.topology.characters
-    terms: list[tuple[int, ...]] = []
-    escape_failed: set[tuple[int, ...]] = set()
-    for n in range(count):
-        envelope = Fraction(1, 2**n)
-        found = None
-        seen: set[tuple[int, ...]] = set()
-        for exponent in _SCALE_EXPONENTS:
-            for a in work.pool(exponent):
-                if a in seen or a in escape_failed:
-                    continue
-                seen.add(a)
-                if not counter.spend():
-                    return Exhausted(
-                        f"candidate budget exhausted at term {n}", counter.used
-                    )
-                # escape first: for rational chi it is one integer
-                # comparison, and a failure rules the candidate out forever
-                if pair(a, chi).norm_cmp(delta) < 0:
-                    escape_failed.add(a)
-                    continue
-                if any(pair(a, h).norm_cmp(envelope) > 0 for h in chars):
-                    continue
-                found = a
-                break
-            if found is not None:
-                break
-        if found is None:
-            return Exhausted(
-                f"no candidate met envelope {envelope} with escape >= {delta} "
-                f"at term {n}",
-                counter.used,
-            )
-        terms.append(found)
-    witness = _certify(
-        Explicit(tuple(terms)), work.topology, chi, delta, count, "lattice"
-    )
-    if witness is None:  # defensive; terms were verified individually
-        return Exhausted("assembled terms failed final certification", counter.used)
-    return witness
-
-
 def find_witness(
     topology: PrecompactTopology,
     chi: tuple[CirclePoint, ...] | list[CirclePoint],
@@ -310,20 +129,19 @@ def find_witness(
 ) -> Witness | Exhausted:
     """Search for a certified escape witness, deterministically.
 
-    Strategy order: annihilator shortcut, continued-fraction subsequences
-    (single irrational generator on Z), then per-term lattice approximation
-    over the scale ladder with lexicographically smallest candidates first.
+    Below a rational chi whose pairings cannot reach delta, no search runs.
+    Otherwise torsion's staged search: annihilator shortcut,
+    continued-fraction subsequences (single irrational generator on Z), then
+    per-term lattice approximation over the scale pools, smallest
+    candidates first.
     """
     return _search(_TopologyWork(topology), chi, delta, budget)
 
 
 def _search(work: _TopologyWork, chi, delta, budget) -> Witness | Exhausted:
-    """find_witness on the topology of work, reusing what work has built."""
-    topology = work.topology
-    chi, delta = _validate(topology, chi, delta)
-    budget = budget or Budget()
-    count = budget.max_terms
-    counter = _CandidateCounter(budget.max_candidates)
+    """find_witness on the topology of work, reusing what work has built.
+    Escape norms are display lower bounds computed to within delta/8."""
+    chi, delta = _validate(work.topology, chi, delta)
     if all(p.is_rational for p in chi):
         c = lcm(*(p.den for p in chi))
         best = Fraction(c // 2, c)
@@ -333,19 +151,14 @@ def _search(work: _TopologyWork, chi, delta, budget) -> Witness | Exhausted:
                 f"largest norm {best} is below the threshold {delta}",
                 0,
             )
-    for stage, name in (
-        (_stage_annihilator, "annihilator"),
-        (_stage_cf_subsequence, "subsequence"),
-    ):
-        witness = stage(work, chi, delta, count, counter)
-        if witness is not None:
-            return witness
-        if counter.used >= counter.limit:
-            return Exhausted(f"candidate budget exhausted in {name} stage", counter.used)
-    if not topology.characters:
-        # indiscrete topology: the annihilator stage already enumerated Z^k
-        return Exhausted("no escaping vector found for the indiscrete topology", counter.used)
-    return _stage_lattice(work, chi, delta, count, counter)
+    result = _staged_search(work, budget or Budget(), chi, delta)
+    if isinstance(result, _Failed):
+        return Exhausted(result.reason, result.candidates_used)
+    escapes = tuple(
+        EscapeTermCert(n, term, escape.norm_enclosure(delta / 8).lower, delta)
+        for n, (term, _, escape) in enumerate(result.rows)
+    )
+    return Witness(result.sequence, delta, _null_terms(result.rows), escapes, result.strategy)
 
 
 def check_witness(

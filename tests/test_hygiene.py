@@ -7,9 +7,15 @@ pass); ``from __future__`` imports are exempt.  And no module defines, at
 module level, a function, class or assigned name that nothing references
 outside its own definition, in any module of the package, unless the
 module exports it in ``__all__``; dunder names are exempt.
+
+The traced benchmark run wraps the kernel functions that
+``perfbench/spans.py`` lists in ``TRACED`` and looks each one up in its own
+module's (or class's) namespace, so every listed name must be defined
+there, not merely imported from elsewhere.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -174,3 +180,25 @@ def test_definition_scan_flags_unreferenced_names():
 def test_no_unreferenced_definitions():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unreferenced_definitions(sources) == []
+
+
+def _traced_names() -> list[tuple[str, str | None, str]]:
+    """The TRACED tuple of perfbench/spans.py, read without importing it."""
+    spans = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    for node in ast.parse(spans.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+def test_traced_names_live_in_their_own_module():
+    traced = _traced_names()
+    assert traced
+    for module_name, cls_name, func_name in traced:
+        module = importlib.import_module(f"gclose.{module_name}")
+        owner = getattr(module, cls_name) if cls_name else module
+        assert func_name in vars(owner), (module_name, cls_name, func_name)
+        if cls_name is None:
+            assert vars(owner)[func_name].__module__ == module.__name__, func_name

@@ -2,8 +2,8 @@
 
 ``tests/golden/approximation_candidates.txt`` holds the output of
 ``approximation_candidates`` for rational and quadratic characters with
-(k, m) in {1, 2}^2, at every scale the witness search uses and at two
-null-sequence scales.  The test compares it byte for byte and never
+(k, m) in {1, 2}^2, at every scale of the search's lattice pools and at
+2^100.  The test compares it byte for byte and never
 rewrites it; re-record with ``PYTHONPATH=src python tests/test_lattice.py
 record`` and review the diff.
 
@@ -24,12 +24,11 @@ import pytest
 
 from gclose.circle import CirclePoint
 from gclose.lattice import approximation_candidates, lll_reduce
-from gclose.witness import _SCALE_EXPONENTS
 
 CORPUS = Path(__file__).parent / "golden" / "approximation_candidates.txt"
 
-# largest scales null_sequence reaches: 2^(n+4) * 2^(8j) <= 2^192
-NULL_SEQUENCE_EXPONENTS = (100, 192)
+# scale exponents of the recorded corpus, in its line order
+CORPUS_EXPONENTS = (4, 8, 16, 32, 64, 128, 100, 192)
 
 
 def rat(p, q):
@@ -58,7 +57,7 @@ CHARACTER_SETS = {
 def render_corpus() -> str:
     lines = []
     for name, chars in CHARACTER_SETS.items():
-        for exponent in _SCALE_EXPONENTS + NULL_SEQUENCE_EXPONENTS:
+        for exponent in CORPUS_EXPONENTS:
             cands = approximation_candidates(chars, 2**exponent)
             lines.append(f"{name} 2^{exponent}: " + " ".join(map(repr, cands)))
     return "\n".join(lines) + "\n"

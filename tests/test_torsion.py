@@ -9,6 +9,7 @@ residues by the convergent recurrence mod q.
 import math
 import random
 import time
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gclose import circle
+from gclose import circle, torsion
 from gclose.circle import (
     BoundedExpansionError,
     CFExpansion,
@@ -1244,6 +1245,11 @@ def test_null_sequence_indiscrete():
     assert isinstance(out.sequence, Constant) and out.sequence.vector == (1,)
 
 
+def test_null_sequence_on_z0_is_an_error():
+    with pytest.raises(TorsionError):
+        null_sequence(PrecompactTopology.on_free(0, []))
+
+
 def test_null_sequence_rational_lattice():
     t = _topology((CirclePoint.rational(1, 2), CirclePoint.rational(0, 1)),
                   (CirclePoint.rational(0, 1), CirclePoint.rational(1, 3)))
@@ -1300,6 +1306,52 @@ def test_null_certificate_tamper_detected():
     }
     for name, (topology, bad) in tampered.items():
         assert not recheck_null_certificate(topology, bad), name
+
+
+def test_null_sequence_two_quadratics_default_budget():
+    t = _topology((GOLDEN,), (SQRT2M1,))
+    out = null_sequence(t)
+    assert isinstance(out, NullSequenceResult)
+    assert out.certificate.strategy == "lattice-approximation"
+    assert len(out.certificate.terms) == Budget().max_terms
+    assert recheck_null_certificate(t, out)
+
+
+def test_capped_null_search_builds_each_pool_once(monkeypatch):
+    calls = Counter()
+    original = torsion.approximation_candidates
+
+    def counted(chars, scale):
+        calls[scale] += 1
+        return original(chars, scale)
+
+    monkeypatch.setattr(torsion, "approximation_candidates", counted)
+    sqrt3m1 = CirclePoint.quadratic(-1, 1, 1, 3)
+    t = _topology((GOLDEN,), (SQRT2M1,), (sqrt3m1,))
+    out = null_sequence(t, Budget(max_terms=512, max_candidates=16384))
+    assert isinstance(out, NotFound)
+    assert out.reason.startswith("no candidate met envelope")
+    assert calls and all(n == 1 for n in calls.values())
+    assert set(calls) <= {2**e for e in torsion._SCALE_EXPONENTS}
+
+
+def test_repeated_term_changed_is_refused():
+    third = _topology((CirclePoint.rational(1, 3),))
+    out = null_sequence(third, Budget(max_terms=6, max_candidates=8))
+    assert isinstance(out.sequence, Constant) and out.sequence.vector == (3,)
+    assert recheck_null_certificate(third, out)
+
+    def consistent(terms):
+        # a certificate that names exactly the given terms, so only the
+        # norms of u_3 can refuse it
+        return NullSequenceResult(Explicit(terms), NullCertificate("forged", tuple(
+            NullTermCert(n, a, (Fraction(0),), Fraction(1, 2**n)) for n, a in enumerate(terms)
+        )))
+
+    assert recheck_null_certificate(third, consistent(((3,),) * 6))
+    for changed in ((1,), (4,)):
+        terms = ((3,),) * 3 + (changed,) + ((3,),) * 2
+        assert not recheck_null_certificate(third, consistent(terms)), changed
 
 
 def test_null_sequence_determinism():

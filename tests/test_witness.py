@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from gclose import witness
+from gclose import torsion
 from gclose.circle import CirclePoint, SurdSum, int_mul
 from gclose.duality import PrecompactTopology
 from gclose.torsion import Budget, Constant, Explicit, eval_seq, t_membership
@@ -202,6 +202,30 @@ def test_check_witness_rejects_tampering():
 # the ladder experiment ----------------------------------------------------------
 
 
+def test_repeated_term_changed_is_refused():
+    t = topo((rat(1, 3),))
+    chi = (rat(1, 2),)
+    w = find_witness(t, chi, Fraction(1, 2), Budget(6, 32))
+    assert w.strategy == "annihilator" and w.sequence.vector == (3,)
+
+    def consistent(terms):
+        # certificates that name exactly the given terms, so only the norms
+        # of a_3 can refuse them: 6 is null for 1/3 but does not escape 1/2,
+        # 1 escapes 1/2 but is not null for 1/3
+        return Witness(
+            Explicit(terms),
+            w.escape_threshold,
+            tuple(replace(tc, term=a) for tc, a in zip(w.null_certificate, terms)),
+            tuple(replace(tc, term=a) for tc, a in zip(w.escape_certificate, terms)),
+            w.strategy,
+        )
+
+    assert check_witness(consistent(((3,),) * 6), t, chi)
+    for changed in ((6,), (1,)):
+        terms = ((3,),) * 3 + (changed,) + ((3,),) * 2
+        assert not check_witness(consistent(terms), t, chi), changed
+
+
 def test_gmem_golden_half():
     out = g_membership_experiment(topo((GOLDEN,)), (rat(1, 2),))
     assert isinstance(out, NotInGClosure)
@@ -335,15 +359,16 @@ def test_bds_probes_share_work_and_equal_separate_ladders():
 
 
 def count_calls(monkeypatch, name, calls):
-    """Count the calls the witness module makes to one of its names, keyed
-    by the name and the arguments after the first (the scale or radius)."""
-    original = getattr(witness, name)
+    """Count the calls the torsion module, home of the staged search, makes
+    to one of its names, keyed by the name and the arguments after the first
+    (the scale or radius)."""
+    original = getattr(torsion, name)
 
     def counted(*args):
         calls[(name, *args[1:])] += 1
         return original(*args)
 
-    monkeypatch.setattr(witness, name, counted)
+    monkeypatch.setattr(torsion, name, counted)
 
 
 def test_one_ladder_builds_each_piece_of_work_once(monkeypatch):
