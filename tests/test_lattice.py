@@ -3,9 +3,9 @@
 ``tests/golden/approximation_candidates.txt`` holds the output of
 ``approximation_candidates`` for rational and quadratic characters with
 (k, m) in {1, 2}^2, at every scale of the search's lattice pools and at
-2^100.  The test compares it byte for byte and never
-rewrites it; re-record with ``PYTHONPATH=src python tests/test_lattice.py
-record`` and review the diff.
+2^100.  The test compares it byte for byte and never rewrites it;
+re-record with ``PYTHONPATH=src python tests/test_lattice.py record`` and
+review the diff.
 
 ``fraction_lll`` is the textbook algorithm with every Gram-Schmidt vector
 recomputed in Fractions after each change of the basis.  It performs the
