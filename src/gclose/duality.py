@@ -11,8 +11,9 @@ sublattice bases and membership tests.  Taken modulo a multiple D of the
 lattice's exponent, it keeps every entry below D; annihilators use it that
 way.  Invariant factors of a presentation come from Hermite forms taken
 modulo its determinant.  A dual subgroup answers membership from one Hermite
-lattice built for the call.  Smith normal form, with its transforms, is kept
-only for the ``snf`` verb and ``closure_in_dual``.
+lattice built for the call.  The Smith normal form and its transforms, for
+the ``snf`` verb and ``closure_in_dual``, come from Hermite forms of the
+matrix and its transpose in turn, each augmented by its transform.
 """
 
 from __future__ import annotations
@@ -132,97 +133,74 @@ class IntMatrix:
         return ";".join(",".join(str(x) for x in row) for row in self.entries)
 
 
-def _swap_rows(a, u, i, j):
-    a[i], a[j] = a[j], a[i]
-    u[i], u[j] = u[j], u[i]
+def _hermite_pass(a: IntMatrix, t: IntMatrix, modulus: int = 0) -> tuple[IntMatrix, IntMatrix]:
+    """(W @ a, W @ t) for the row Hermite form of the augmented matrix
+    [a | t], split after a's columns.  For a square invertible t no row
+    drops out and W is unimodular."""
+    h = row_hnf(
+        IntMatrix.from_rows([x + y for x, y in zip(a.entries, t.entries)], a.cols + t.cols),
+        modulus,
+    )
+    return (
+        IntMatrix.from_rows([r[: a.cols] for r in h.entries], a.cols),
+        IntMatrix.from_rows([r[a.cols :] for r in h.entries], t.cols),
+    )
 
 
-def _negate_row(a, u, i):
-    a[i] = [-x for x in a[i]]
-    u[i] = [-x for x in u[i]]
-
-
-def _add_row(a, u, dst, src, mult):
-    a[dst] = [x + mult * y for x, y in zip(a[dst], a[src])]
-    u[dst] = [x + mult * y for x, y in zip(u[dst], u[src])]
-
-
-def _swap_cols(a, v, i, j):
-    for row in a:
-        row[i], row[j] = row[j], row[i]
-    for row in v:
-        row[i], row[j] = row[j], row[i]
-
-
-def _add_col(a, v, dst, src, mult):
-    for row in a:
-        row[dst] += mult * row[src]
-    for row in v:
-        row[dst] += mult * row[src]
+def _is_diagonal(a: IntMatrix) -> bool:
+    return not any(x for i, row in enumerate(a.entries) for j, x in enumerate(row) if i != j)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, D, V) with D = U @ m @ V, U and V unimodular, D diagonal
     with nonnegative entries d1 | d2 | ... .
 
-    The pivot at each elimination step is the nonzero entry of minimal
-    absolute value in the remaining block, ties broken by lowest (row, col),
-    which makes the reduction deterministic.
+    Hermite passes alternate (Kannan & Bachem, 1979): the row Hermite form
+    of [a | U] brings a to echelon form and records the row operations in
+    U; the same pass on [a^T | V^T] does the columns.  Each pass makes the
+    first pivot the gcd of its row or column, so it never grows and stays
+    put only when it divides that line; the passes end when a is diagonal.
+    A pass leaves its zero lines last, so the zero entries of the diagonal
+    come last.  Then each pair x = d_i, y = d_j, i < j, with x not dividing
+    y becomes (g, lcm) in the order of _divisibility_chain: with
+    g = s*x + t*y, rows i, j of U take [[s, t], [-y/g, x/g]] and columns
+    i, j of V take [[1, -t*y/g], [1, s*x/g]].
     """
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [list(r) for r in IntMatrix.identity(rows).entries]
-    v = [list(r) for r in IntMatrix.identity(cols).entries]
-    for t in range(min(rows, cols)):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    a, u = _hermite_pass(m, IntMatrix.identity(m.rows))
+    vt = IntMatrix.identity(m.cols)
+    while not _is_diagonal(a):
+        a, vt = _hermite_pass(a.transpose(), vt)
+        a = a.transpose()
+        if _is_diagonal(a):
             break
-        if best[0] != t:
-            _swap_rows(a, u, t, best[0])
-        if best[1] != t:
-            _swap_cols(a, v, t, best[1])
-        while True:
-            if a[t][t] < 0:
-                _negate_row(a, u, t)
-            p = a[t][t]
-            leftover = None
-            for i in range(rows):
-                if i != t and a[i][t]:
-                    _add_row(a, u, i, t, -(a[i][t] // p))
-                    if a[i][t]:
-                        leftover = i
-            if leftover is not None:
-                # a remainder strictly smaller than p becomes the new pivot
-                _swap_rows(a, u, t, leftover)
+        a, u = _hermite_pass(a, u)
+    d = list(a.diagonal())
+    u = [list(r) for r in u.entries]
+    vt = [list(r) for r in vt.entries]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            x, y = d[i], d[j]
+            if not x or y % x == 0:
                 continue
-            for j in range(cols):
-                if j != t and a[t][j]:
-                    _add_col(a, v, j, t, -(a[t][j] // p))
-                    if a[t][j]:
-                        leftover = j
-            if leftover is not None:
-                _swap_cols(a, v, t, leftover)
-                continue
-            offender = next(
-                (
-                    i
-                    for i in range(t + 1, rows)
-                    for j in range(t + 1, cols)
-                    if a[i][j] % p
-                ),
-                None,
+            g = gcd(x, y)
+            s = pow(x // g, -1, y // g)
+            t = (g - s * x) // y
+            xg, yg = x // g, y // g
+            u[i], u[j] = (
+                [s * p + t * q for p, q in zip(u[i], u[j])],
+                [xg * q - yg * p for p, q in zip(u[i], u[j])],
             )
-            if offender is None:
-                break
-            _add_row(a, u, t, offender, 1)
-    um = IntMatrix.from_rows(u, rows)
-    dm = IntMatrix.from_rows(a, cols)
-    vm = IntMatrix.from_rows(v, cols)
-    return um, dm, vm
+            vt[i], vt[j] = (
+                [p + q for p, q in zip(vt[i], vt[j])],
+                [s * xg * q - t * yg * p for p, q in zip(vt[i], vt[j])],
+            )
+            d[i], d[j] = g, x * yg
+    diag = [[d[i] if i == j else 0 for j in range(m.cols)] for i in range(m.rows)]
+    return (
+        IntMatrix.from_rows(u, m.rows),
+        IntMatrix.from_rows(diag, m.cols),
+        IntMatrix.from_rows(vt, m.cols).transpose(),
+    )
 
 
 def _reduced(row: list[int], q: int, other: list[int], modulus: int, c: int) -> list[int]:
@@ -348,9 +326,14 @@ def _rowspan_contains(hnf: IntMatrix, vec: tuple[int, ...]) -> bool:
 def kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Hermite basis of the integer kernel {x : m @ x = 0}: the rows of
     row_hnf([m^T | I]) whose m^T part is zero, read in their I part."""
-    stacked = [c + e for c, e in zip(m.columns(), IntMatrix.identity(m.cols).entries)]
-    hnf = row_hnf(IntMatrix.from_rows(stacked, m.rows + m.cols))
-    return [row[m.rows :] for row in hnf.entries if not any(row[: m.rows])]
+    return _kernel_rows(m.transpose())
+
+
+def _kernel_rows(a: IntMatrix, modulus: int = 0) -> list[tuple[int, ...]]:
+    """The rows of W, W @ [a | I] in Hermite form (modulo the modulus), at
+    which W @ a vanishes."""
+    h, w = _hermite_pass(a, IntMatrix.identity(a.rows), modulus)
+    return [wr for hr, wr in zip(h.entries, w.entries) if not any(hr)]
 
 
 def system_solvable(m: IntMatrix, b: tuple[int, ...] | list[int]) -> bool:
@@ -458,7 +441,7 @@ def group_from_presentation(relations: IntMatrix, generators: int) -> FgAbelianG
     h = row_hnf(relations)
     k = row_hnf(h.transpose())
     delta = prod(k.diagonal())
-    while any(x for i, row in enumerate(k.entries) for x in row[i + 1 :]):
+    while not _is_diagonal(k):
         k = row_hnf(k.transpose(), delta)
     factors = tuple(x for x in _divisibility_chain(k.diagonal()) if x > 1)
     return FgAbelianGroup(generators - h.rows, factors)
@@ -718,15 +701,9 @@ def annihilator(subgroup: DualSubgroup) -> Sublattice:
     if exact:
         basis = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(exact, n)), n)
         scaled = scaled @ basis.transpose()
-    width, k = scaled.rows, scaled.cols
-    stacked = [
-        list(row) + [int(i == j) for j in range(k)]
-        for i, row in enumerate(scaled.transpose().entries)
-    ]
-    hnf = row_hnf(IntMatrix.from_rows(stacked, width + k), modulus)
-    kernel = [row[width:] for row in hnf.entries if not any(row[:width])]
+    kernel = _kernel_rows(scaled.transpose(), modulus)
     if exact:
-        kernel = list((IntMatrix.from_rows(kernel, k) @ basis).entries)
+        kernel = list((IntMatrix.from_rows(kernel, scaled.cols) @ basis).entries)
     return Sublattice.from_generators(ambient, kernel)
 
 

@@ -783,9 +783,11 @@ def _tail_scan(brackets: Iterable[tuple[int, int, int]], tol: Fraction) -> Verdi
 
 
 def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
-    """Exact In when the pairings vanish from some index t on, else the scan
-    of all h terms.  A pass pairs every term only when the last pairing is 0."""
-    end = deque(enumerate(u.walk(0, 1), 1), maxlen=1)
+    """Exact In when the pairings of all h terms vanish from some index t
+    on, else the scan under the policy.  The end is looked for only among
+    the first horizon + 1 terms, so a sequence longer than the horizon is
+    scanned; a pass pairs every term only when the last pairing is 0."""
+    end = deque(enumerate(islice(u.walk(0, 1), policy.horizon + 1), 1), maxlen=1)
     if not end:
         return Verdict.exact_in(
             "sequence defines no terms; convergence holds vacuously",
@@ -793,8 +795,8 @@ def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Ve
             sequence_horizon=0,
         )
     h, last = end[0]
-    if not pair(last, x).is_integer():
-        return _scan(u, x, Policy(h, policy.tolerance))
+    if h > policy.horizon or not pair(last, x).is_integer():
+        return _scan(u, x, policy)
     t = max((n for n, v in enumerate(u.walk(0, 1), 1) if not pair(v, x).is_integer()), default=0)
     return Verdict.exact_in(
         f"pairing = 0 (mod 1) from index {t} through the final index {h - 1} "

@@ -1,12 +1,14 @@
 """Integer linear algebra and duality: frozen examples plus postconditions.
 
 The SNF example diag(2,4) is frozen from the minor-gcd oracle: d1 = gcd of
-all entries = 2, d1*d2 = |det| = 8.  Annihilator and closure examples are
-frozen from hand computation (cleared-denominator congruences).  Invariant
-factors from Hermite forms are checked against the Smith diagonal.  Membership
-lattices and annihilators are checked against the integer systems they
-replaced, kept here as the reference: one chi-scaled system per
-``contains`` call, and the kernel of all equations and congruences at once.
+all entries = 2, d1*d2 = |det| = 8.  ``reference_smith_form`` is a Smith
+form by min-pivot elimination, with no Hermite form; the Hermite-built
+``smith_normal_form``, kernels, solvability and invariant factors are
+checked against it.  Annihilator and closure examples are frozen from hand
+computation (cleared-denominator congruences).  Membership lattices and
+annihilators are checked against the integer systems they replaced, kept
+here as the reference: one chi-scaled system per ``contains`` call, and the
+kernel of all equations and congruences at once.
 """
 
 import random
@@ -61,6 +63,74 @@ def minor_gcd(m: IntMatrix, size: int) -> int:
 
 
 # Smith normal form ----------------------------------------------------------
+
+
+def reference_smith_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Reference Smith form (U, D, V) by an elimination of its own, with no
+    Hermite form: the pivot is the nonzero entry of least absolute value in
+    the remaining block, ties to the lowest (row, column).  Its row and
+    column are cleared by remainders, a remainder becoming the new pivot,
+    and a later entry the pivot does not divide has its row added to the
+    pivot's row."""
+    rows, cols = m.rows, m.cols
+    a = [list(r) for r in m.entries]
+    u = [list(r) for r in IntMatrix.identity(rows).entries]
+    vt = [list(r) for r in IntMatrix.identity(cols).entries]
+
+    def add_row(dst, src, q):
+        for mat in (a, u):
+            mat[dst] = [x + q * y for x, y in zip(mat[dst], mat[src])]
+
+    def add_col(dst, src, q):
+        for row in a:
+            row[dst] += q * row[src]
+        vt[dst] = [x + q * y for x, y in zip(vt[dst], vt[src])]
+
+    def swap(i, j, col):
+        if col:
+            for row in a:
+                row[i], row[j] = row[j], row[i]
+            vt[i], vt[j] = vt[j], vt[i]
+        else:
+            a[i], a[j], u[i], u[j] = a[j], a[i], u[j], u[i]
+
+    for t in range(min(rows, cols)):
+        block = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        if not block:
+            break
+        _, i, j = min(block)
+        swap(t, i, False)
+        swap(t, j, True)
+        while True:
+            if a[t][t] < 0:
+                a[t], u[t] = [-x for x in a[t]], [-x for x in u[t]]
+            p = a[t][t]
+            left = None
+            for i in range(rows):
+                if i != t and a[i][t]:
+                    add_row(i, t, -(a[i][t] // p))
+                    left = i if a[i][t] else left
+            if left is not None:
+                swap(t, left, False)
+                continue
+            for j in range(cols):
+                if j != t and a[t][j]:
+                    add_col(j, t, -(a[t][j] // p))
+                    left = j if a[t][j] else left
+            if left is not None:
+                swap(t, left, True)
+                continue
+            offender = next(
+                (i for i in range(t + 1, rows) for j in range(t + 1, cols) if a[i][j] % p), None
+            )
+            if offender is None:
+                break
+            add_row(t, offender, 1)
+    return (
+        IntMatrix.from_rows(u, rows),
+        IntMatrix.from_rows(a, cols),
+        IntMatrix.from_rows(vt, cols).transpose(),
+    )
 
 
 def assert_snf(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -138,6 +208,27 @@ def test_snf_matches_minor_gcd_oracle(rows):
         assert prod == minor_gcd(m, i + 1)
 
 
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda cols: st.lists(
+            st.one_of(
+                st.just([0] * cols),
+                st.lists(st.integers(min_value=-30, max_value=30), min_size=cols, max_size=cols),
+            ),
+            max_size=6,
+        ).map(lambda rows: (rows, cols))
+    ),
+    st.sets(st.integers(min_value=0, max_value=5)),
+)
+@settings(max_examples=200)
+def test_snf_matches_the_reference_form(shaped, zero_cols):
+    # zero rows come from the first branch, zero columns from zero_cols
+    rows, cols = shaped
+    m = IntMatrix.from_rows([[0 if j in zero_cols else x for j, x in enumerate(r)] for r in rows], cols)
+    _, d, _ = assert_snf(m)
+    assert d == reference_smith_form(m)[1]
+
+
 # Hermite form, kernels, solvability ----------------------------------------
 
 
@@ -165,7 +256,7 @@ def test_system_solvable():
 def snf_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """Reference kernel: the columns of V at the zero diagonal entries of
     the Smith form D = U @ m @ V."""
-    _, d, v = smith_normal_form(m)
+    _, d, v = reference_smith_form(m)
     out = []
     for j in range(m.cols):
         dj = d.entries[j][j] if j < min(m.rows, m.cols) else 0
@@ -177,7 +268,7 @@ def snf_kernel_basis(m: IntMatrix) -> list[tuple[int, ...]]:
 def snf_system_solvable(m: IntMatrix, b: tuple[int, ...]) -> bool:
     """Reference solvability: U @ b must vanish where D does and be
     divisible by D's entry elsewhere."""
-    u, d, _ = smith_normal_form(m)
+    u, d, _ = reference_smith_form(m)
     c = u.apply(tuple(b))
     for i in range(m.rows):
         di = d.entries[i][i] if i < min(m.rows, m.cols) else 0
@@ -300,9 +391,9 @@ def test_invariant_chain_enforced():
 
 
 def smith_presentation(m: IntMatrix) -> FgAbelianGroup:
-    """Reference: the quotient read off smith_normal_form's diagonal, free
+    """Reference: the quotient read off reference_smith_form's diagonal, free
     rank the columns less its nonzero entries, factors its entries above 1."""
-    diag = smith_normal_form(m)[1].diagonal()
+    diag = reference_smith_form(m)[1].diagonal()
     return FgAbelianGroup(m.cols - sum(1 for x in diag if x), tuple(x for x in diag if x > 1))
 
 

@@ -289,7 +289,9 @@ def test_interleave_walks_start_each_child_once():
     x = CirclePoint.quadratic(0, 1, 2, 2)
     cases = [
         (Subsequence(Interleave((CFDenominators(GOLDEN), Geometric(3)), (1, 1)), 2, 0), 4096, 4096),
-        (Interleave((CFDenominators(GOLDEN), Explicit(((1,),))), (512, 1)), 512, 1025),
+        # a finite sequence longer than the horizon is scanned to the horizon
+        (Interleave((CFDenominators(GOLDEN), Explicit(((1,),))), (512, 1)), 512, 512),
+        (Interleave((CFDenominators(GOLDEN), Explicit(((1,),))), (512, 1)), 2048, 1025),
         (Interleave((Explicit(((1,),)), Geometric(2)), (10**9, 1)), 512, 1),
     ]
     for u, horizon, h in cases:
