@@ -120,8 +120,8 @@ MAX_SEQ_DEPTH = 64
 MAX_HORIZON = 4096
 
 # Largest --max-den: a profile decides every denominator up to it.  A cfden
-# profile at this bound takes 4-7 s (same host), about four times as long
-# as at half the bound.
+# profile at this bound takes 1.0-1.5 s in-process (same host), about three
+# times as long as at half the bound; geom and fact profiles take under 0.1 s.
 MAX_DEN = 2048
 
 # Largest --budget / GCLOSE_BUDGET, as (max_terms, max_candidates).  Every

@@ -26,8 +26,11 @@ product row per quotient of that period.  Strides and interleaves of these
 are index arithmetic: a stride (A, B) over (first, period) starts at the
 least n with A*n + B >= first and repeats every period/gcd(A, period); an
 interleave with blocks b_j starts once every child is in its cycle and
-repeats every sum(b_j)*lcm_j(p_j/gcd(b_j, p_j)).  One summariser reads each
-cycle in a single walk.  The state cap bounds every part of an orbit (each
+repeats every sum(b_j)*lcm_j(p_j/gcd(b_j, p_j)).  One summariser finds each
+cycle's residue of largest norm.  For a geometric cycle it searches the
+units of Z/m nearest m/2 by baby-step giant-step, in O(sqrt(period)) steps
+when they lie in the cycle; any other cycle, or a search that gives up,
+takes a single walk.  The state cap bounds every part of an orbit (each
 leaf, each interleave and the whole); past it the ladder scans.
 Quadratic orbits along continued-fraction denominators are decided through
 the classical approximation bound |q_n*alpha - p_n| < 1/q_{n+1}.
@@ -460,25 +463,36 @@ class Verdict:
 class _Orbit:
     """A residue orbit whose states repeat from index first with period
     period.  walk(n0, s) yields the residues at n0, n0 + s, n0 + 2s, ...
-    without end, in O(1) amortised time per residue, and stores no state."""
+    without end, in O(1) amortised time per residue, and stores no state.
+    A geometric orbit also has peak(): the cycle's residue of largest norm
+    (smaller on ties, 0 for an all-zero cycle) and its first index, or None
+    when the search gives up (see _geometric_orbit)."""
 
     first: int
     period: int
     walk: Callable[[int, int], Iterator[int]]
+    peak: Callable[[], tuple[int, int] | None] | None = None
 
 
 def _summarize_cycle(orbit: _Orbit, q: int) -> tuple[int, Fraction, int]:
     """(best, norm, index) of a residue orbit mod q with cycle [first, first+period):
     (0, 0, n0) for an all-zero cycle, n0 one past the last nonzero residue;
     else the cycle residue of largest norm (smaller on ties) at its first index.
-    One pass over the walk from 0; no residue is kept."""
+    The pre-period is walked; a geometric cycle is then searched by
+    orbit.peak(), and any other cycle, or one whose search gives up, is read
+    in one pass over the walk.  No residue is kept."""
     residues = orbit.walk(0, 1)
     last = max((n + 1 for n, v in zip(range(orbit.first), residues) if v), default=0)
-    best = top = index = 0
-    for n, v in enumerate(islice(residues, orbit.period), orbit.first):
-        d = q - v if v + v > q else v
-        if d >= top and (d > top or v < best):
-            best, index, top = v, n, d
+    found = orbit.peak and orbit.peak()
+    if found:
+        best, index = found
+        top = min(best, q - best)
+    else:
+        best = top = index = 0
+        for n, v in enumerate(islice(residues, orbit.period), orbit.first):
+            d = q - v if v + v > q else v
+            if d >= top and (d > top or v < best):
+                best, index, top = v, n, d
     if not best:
         return 0, Fraction(0), last
     return best, Fraction(top, q), index
@@ -519,6 +533,35 @@ def _order(mul, g, x, bound: int, size: int) -> int | None:
     return None
 
 
+def _coset_peak(a: int, g: int, m: int, period: int) -> tuple[int, int] | None:
+    """(c, k) for the element c = a*g^k mod m of the coset a<g> in (Z/m)^*,
+    where g has order period, of largest norm ||c/m||, the smaller c on ties,
+    with 0 <= k < period.  The units c = d, m - d for d = m//2, m//2 - 1, ...
+    are looked up in turn by baby-step giant-step in one table of a*g^j,
+    j < isqrt(period) + 1; the first found is the answer.  None once the
+    giant steps spent pass period."""
+    t = isqrt(period) + 1
+    baby, x = {}, a
+    for j in range(t):
+        baby.setdefault(x, j)
+        x = x * g % m
+    giant, steps, spent = pow(g, -t, m), -(-period // t), 0
+    for d in range(m // 2, -1, -1):
+        if gcd(d, m) > 1:
+            continue
+        for c in (d, m - d) if d + d < m else (d,):
+            x = c
+            for i in range(steps):
+                j = baby.get(x)
+                if j is not None:
+                    return c, i * t + j
+                x = x * giant % m
+            spent += steps
+            if spent > period:
+                return None
+    return None
+
+
 def _geometric_orbit(start: int, step: int, q: int, cap: int) -> _Orbit | None:
     """The orbit s_n = start*step^n mod q, or None exactly when first + period
     > cap.  It walks with one multiplication per residue.
@@ -526,7 +569,14 @@ def _geometric_orbit(start: int, step: int, q: int, cap: int) -> _Orbit | None:
     q = q1*q2 with q2 the largest divisor of q coprime to step.  Modulo q1 the
     orbit is distinct until it reaches 0, where it stays; modulo q2 step is a
     unit, so that part is purely periodic.  Hence first is the least n with
-    q1 | s_n, and period is the order of step modulo q2/gcd(s_first, q2)."""
+    q1 | s_n, and period is the order of step modulo m = q2/e, e = gcd(s_first, q2).
+
+    The cycle's residues are q1*e*c for c in the coset a<step> of (Z/m)^*,
+    a = s_first/(q1*e), and ||q1*e*c/q|| = ||c/m|| with c and the residue in
+    the same order.  So peak() reads the best residue and its index off
+    _coset_peak, in about 2*sqrt(period) steps when the coset is all of
+    (Z/m)^*; when the search gives up, the walk that follows it makes the
+    worst case about sqrt(period) + 2*period steps against period."""
     step %= q
     q2, g = q, gcd(q, step)
     while g > 1:
@@ -539,10 +589,16 @@ def _geometric_orbit(start: int, step: int, q: int, cap: int) -> _Orbit | None:
         first += 1
     if first >= cap:
         return None
-    m = q2 // gcd(start * pow(step, first, q), q2)
+    s_first = start * pow(step, first, q) % q
+    e = gcd(s_first, q2)
+    m = q2 // e
     period = _order(lambda a, b: a * b % m, step % m, 1 % m, cap - first, m)
     if period is None:
         return None
+
+    def peak() -> tuple[int, int] | None:
+        found = _coset_peak(s_first // (q1 * e), step % m, m, period)
+        return found and (q1 * e * found[0], first + found[1])
 
     def walk(n0: int, s: int) -> Iterator[int]:
         v, jump = start * pow(step, n0, q) % q, pow(step, s, q)
@@ -550,7 +606,7 @@ def _geometric_orbit(start: int, step: int, q: int, cap: int) -> _Orbit | None:
             yield v
             v = v * jump % q
 
-    return _Orbit(first, period, walk)
+    return _Orbit(first, period, walk, peak)
 
 
 def _dot(a: tuple[int, ...], b: tuple[int, ...]) -> int:

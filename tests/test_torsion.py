@@ -11,7 +11,7 @@ import random
 import time
 from collections import Counter
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 
@@ -1033,6 +1033,92 @@ def test_geometric_cycle_at_every_small_cap():
         for cap in range(1, 81):
             expected = _automaton_cycle(start, step, q, cap)
             assert _geometric_cycle(start, step, q, cap) == expected, (start, step, q, cap)
+
+
+def _prime_at_least(n: int) -> int:
+    while n < 2 or any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        n += 1
+    return n
+
+
+def _primitive_root(p: int) -> int:
+    n, factors = p - 1, set()
+    for d in range(2, math.isqrt(n) + 1):
+        while n % d == 0:
+            factors.add(d)
+            n //= d
+    factors |= {n} - {1}
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // f, p) != 1 for f in factors))
+
+
+def _long_geometric_cases(rng):
+    """(kind, start, step, q): primitive roots mod primes up to about 1e5,
+    subgroups of index 2-64, q = 2^k*p and 6^k*p (q1 > 1), starts sharing a
+    prime with q2 (e > 1), and step = -1 with negative starts."""
+    cases = []
+    for p in [_prime_at_least(rng.randint(10**3, 10**5)) for _ in range(6)]:
+        g = _primitive_root(p)
+        units = [u for u in range(1, 40) if math.gcd(u, p - 1) == 1]
+        start = rng.choice((1, -1)) * rng.randrange(1, p)
+        cases.append(("root", start, pow(g, rng.choice(units), p) - rng.choice((0, p)), p))
+    for _ in range(24):
+        p = _prime_at_least(rng.randint(2000, 30000))
+        g = _primitive_root(p)
+        cases.append(("subgroup", rng.randrange(1, p), pow(g, rng.randint(2, 64), p), p))
+    for f in (2, 6):
+        for _ in range(4):
+            p = _prime_at_least(rng.randint(1000, 20000))
+            q = f ** rng.randint(1, 5) * p
+            cases.append(("q1", rng.randrange(-q, q), f * _primitive_root(p), q))
+    for _ in range(6):
+        p1, p2 = (_prime_at_least(rng.randint(lo, hi)) for lo, hi in ((3, 60), (2000, 20000)))
+        q = 2 ** rng.randint(0, 3) * p1 * p2
+        step = 2 * rng.randrange(1, q) + 1
+        while math.gcd(step, q // 2 ** (q % 2 == 0)) > 1:
+            step += 2
+        step *= rng.choice((1, 2))
+        cases.append(("e", p1 * rng.randrange(-q, q), step, q))
+    for q in (_prime_at_least(rng.randint(10**4, 10**5)), 2**3 * 3 * 1009 * 4099):
+        cases += [("minus one", -rng.randrange(1, q), step, q) for step in (-1, q - 1)]
+    return cases
+
+
+def test_geometric_cycle_search_matches_the_automaton_on_long_periods():
+    # the candidate search, and the walk where it gives up, against every
+    # state of the automaton
+    rng = random.Random(20261020)
+    paths = Counter()
+    for kind, start, step, q in _long_geometric_cases(rng):
+        orbit = _geometric_orbit(start, step, q, _STATE_CAP)
+        searched = orbit.peak() is not None
+        paths[kind, searched] += 1
+        got = _geometric_cycle(start, step, q)
+        assert got == _automaton_cycle(start, step, q, _STATE_CAP), (kind, start, step, q)
+        if kind == "root":
+            # every unit is in the cycle: (p-1)/2 beats (p+1)/2 on the tie
+            assert searched and got[1:3] == (q - 1, (q - 1) // 2), (start, step, q)
+        elif kind == "e":
+            assert math.gcd(start, q) > 1 and got[2] % math.gcd(start, q) == 0
+    assert paths["subgroup", False] and paths["subgroup", True]
+    # a period-2 search gives up after two candidates; the walk decides
+    assert paths["q1", True] == 8 and paths["e", True] and paths["minus one", False] == 4
+
+
+def test_geometric_cycle_search_reads_no_cycle_residue(monkeypatch):
+    # when the search decides the orbit, the walk yields the pre-period only
+    for start, step, q, first in ((1, 3, 100003, 0), (-5, 6, 6**3 * 100003, 3)):
+        orbit = _geometric_orbit(start, step, q, _STATE_CAP)
+        drawn = []
+
+        def counted(n0, s, walk=orbit.walk):
+            for i, v in enumerate(walk(n0, s)):
+                drawn.append(n0 + i * s)
+                yield v
+
+        assert orbit.first == first and orbit.peak() is not None
+        summary = _summarize_cycle(replace(orbit, walk=counted), q)
+        assert drawn == list(range(first))
+        assert summary == _reference_summary(_run_cycle(_GeoMachine(start, step, q)), q)
 
 
 def test_smem_vector():
