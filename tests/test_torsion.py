@@ -1074,7 +1074,7 @@ def _long_geometric_cases(rng):
         p1, p2 = (_prime_at_least(rng.randint(lo, hi)) for lo, hi in ((3, 60), (2000, 20000)))
         q = 2 ** rng.randint(0, 3) * p1 * p2
         step = 2 * rng.randrange(1, q) + 1
-        while math.gcd(step, q // 2 ** (q % 2 == 0)) > 1:
+        while math.gcd(step, q) > 1:
             step += 2
         step *= rng.choice((1, 2))
         cases.append(("e", p1 * rng.randrange(-q, q), step, q))
