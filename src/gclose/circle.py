@@ -19,6 +19,7 @@ complete quotient returns.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -254,6 +255,10 @@ class SurdSum:
     the square roots of distinct squarefree integers are linearly
     independent over Q; sign and floor therefore terminate.
 
+    For an integer s != 0, s*value is SurdSum(s*num, s*terms, den): zeros
+    stay zeros and nonzero numerators nonzero, so <s*v, x> = s*<v, x> with
+    the same terms and den, and ``norm_brackets`` streams such multiples.
+
     A one-base sum takes its floor in one integer square root,
     floor((a + b*sqrt(d))/c) = (a + floor(b*sqrt(d))) // c, and its sign from
     ``_sign_surd``.  Several bases refine integer brackets of
@@ -296,45 +301,63 @@ class SurdSum:
         terms = tuple((d, b * up) for d, b in self.terms)
         return SurdSum(self.num * up + p * (self.den // g), terms, self.den * up)
 
+    def _times(self, s: int) -> "SurdSum":
+        """s*value over the same den, for an integer s != 0."""
+        return SurdSum(s * self.num, tuple((d, s * b) for d, b in self.terms), self.den)
+
     def is_rational(self) -> bool:
         return not self.terms
 
     def is_integer(self) -> bool:
         return not self.terms and self.num % self.den == 0
 
-    def _bounds(self, tol, roots=None) -> tuple[int, int, int]:
-        """(lo, hi, scale) with lo/scale < value < hi/scale for an irrational
-        sum, hi - lo <= tol * scale.  Each term b*sqrt(d)/den is bracketed
-        to within tol/len(terms) by isqrt(d << 2k) at dyadic precision 2^-k,
-        k = max(1, bit_length(q) + 1) for q = floor(len(terms)*|b| / (den*tol));
+    def _bounds(self, tol, roots=None, s=1, prev=None) -> tuple[int, int, int]:
+        """(lo, hi, scale) with lo/scale < s*value < hi/scale for an irrational
+        sum and an integer s != 0, hi - lo <= tol * scale.  Each term
+        b*sqrt(d)/den, b = s*b_d, is bracketed to within tol/len(terms) by
+        R_k = isqrt(d << 2k), k = bit_length(len(terms)*|b| // (den*tol)) + 1;
         scale is den * 2^(largest k).
 
-        ``roots`` maps a base d to (K, isqrt(d << 2K)) and is filled in as
-        it goes.  A term with k <= K reads its root as isqrt(d << 2K) >> (K - k),
-        which equals isqrt(d << 2k) because floor(floor(y)/m) = floor(y/m);
-        a term past K takes a new root at max(k, 2K).  A caller that passes
-        one table for a run of growing terms takes about log2(largest k)
-        roots per base instead of one per term, with the same endpoints."""
+        ``roots`` maps d to (K, R_K), filled in as it goes: k <= K reads R_k
+        as R_K >> (K - k), since floor(floor(y)/m) = floor(y/m), and k > K
+        takes a new root at max(k, 2K), about log2(largest k) roots per run.
+
+        ``prev``, a list that starts empty, keeps the last s' and per base
+        (k', b'*R_k', R_k', b').  If s = r*s', then |s| >= |s'| makes
+        k = k' + delta, delta >= 0, and R_k = (R_k' << delta) + e, 0 <= e < 2^delta,
+        so b*R_k = r*((b'*R_k') << delta) + b*e: short factors only, linear in
+        the bit length, where b*R_k is k by k bits.  R_k depends on k alone,
+        so refreshing a root changes nothing.  Any other s multiplies afresh."""
         tn, td = tol.numerator, tol.denominator
         if tn <= 0:
             raise CircleError("tolerance must be positive")
         if roots is None:
             roots = {}
-        span = td * len(self.terms)
-        per_term = []
-        for d, b in self.terms:
-            k = max(1, (span * abs(b) // (tn * self.den)).bit_length() + 1)
+        r, rest = divmod(s, prev[0]) if prev else (0, 1)
+        span, cut = td * len(self.terms), tn * self.den
+        top, per_term = 0, []
+        for i, (d, b) in enumerate(self.terms):
+            b *= s
+            k = (span * abs(b) // cut).bit_length() + 1
             K, R = roots.get(d, (0, 0))
             if K < k:
                 K = max(k, 2 * K)
                 R = isqrt(d << (2 * K))
                 roots[d] = K, R
-            low = b * (R >> (K - k))
-            per_term.append((k, low, low + b))
-        top = max(k for k, _, _ in per_term)
-        lo = hi = self.num << top
-        for k, low, high in per_term:
-            if low > high:
+            R >>= K - k
+            if rest:
+                low = b * R
+            else:
+                k0, low, last, _ = prev[1][i]
+                low = r * (low << (k - k0)) + b * (R - (last << (k - k0)))
+            per_term.append((k, low, R, b))
+            top = max(top, k)
+        if prev is not None:
+            prev[:] = s, per_term
+        lo = hi = (self.num * s) << top
+        for k, low, _, b in per_term:
+            high = low + b
+            if b < 0:
                 low, high = high, low
             lo += low << (top - k)
             hi += high << (top - k)
@@ -406,16 +429,31 @@ class SurdSum:
             r = self.num % self.den
             r = min(r, self.den - r)
             return r, r, self.den
-        lo, hi, scale = self._bounds(tol, roots)
+        return self._fold(self._bounds(tol, roots), 1)
+
+    def norm_brackets(self, scalars: Iterable[int], tol: Fraction, roots) -> Iterator:
+        """The norm brackets of s*value = SurdSum(s*num, s*terms, den) for each
+        integer s != 0 in turn, through one root table: (r, r, den) for a
+        rational sum, r = min(s*num mod den, den - s*num mod den).  No
+        multiple is built but for the exact floor or 1/2 test, and ``_bounds``
+        carries its products from each s to the next."""
+        a, c, prev = self.num, self.den, []
+        if not self.terms:
+            return ((r, r, c) for r in (min(s * a % c, -s * a % c) for s in scalars))
+        return (self._fold(self._bounds(tol, roots, s, prev), s) for s in scalars)
+
+    def _fold(self, bounds: tuple[int, int, int], s: int) -> tuple[int, int, int]:
+        """The norm bracket of s*value from its ``_bounds``."""
+        lo, hi, scale = bounds
         # scale = den << k: shift first, so no long division by scale
         k = scale.bit_length() - self.den.bit_length()
         f = (lo >> k) // self.den
         if f != ((hi - 1) >> k) // self.den:
-            f = self.floor()
+            f = self._times(s).floor()
         shift = (f * self.den) << k
         lo -= shift
         hi -= shift
-        if 2 * lo >= scale or (2 * hi > scale and self._plus(-2 * f - 1, 2).sign() > 0):
+        if 2 * lo >= scale or (2 * hi > scale and self._times(s)._plus(-2 * f - 1, 2).sign() > 0):
             lo, hi = scale - hi, scale - lo
         return max(0, lo), min(hi, scale >> 1), scale
 

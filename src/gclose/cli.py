@@ -115,12 +115,12 @@ MAX_RADICAND = 10**12
 MAX_SEQ_DEPTH = 64
 
 # Largest --horizon / GCLOSE_HORIZON: a scan of n! at an irrational point
-# takes about 1.5 s at this bound (shared 2-core host, CPython 3.11.7), and
+# takes about 0.2 s at this bound (shared 2-core host, CPython 3.11.7), and
 # the terms' bit length grows as n log n.
 MAX_HORIZON = 4096
 
 # Largest --max-den: a profile decides every denominator up to it.  A cfden
-# profile at this bound takes 1.0-1.5 s in-process (same host), about three
+# profile at this bound takes 1.4-1.6 s in-process (same host), about three
 # times as long as at half the bound; geom and fact profiles take under 0.1 s.
 MAX_DEN = 2048
 

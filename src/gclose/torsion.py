@@ -864,10 +864,23 @@ def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Ve
 
 def _scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
     """Stream the norm brackets of the first policy.horizon pairings, at
-    tolerance/4, through one root table."""
+    tolerance/4, through one root table.  A Geometric or Factorial chain
+    pairs once: u_n = s_(A*n+B)*pattern, and pair(s*pattern, x) is
+    s*pair(pattern, x) for s != 0, with the same nonzero parts and lcm."""
     tol, roots = policy.tolerance / 4, {}
-    terms = islice(u.walk(0, 1), policy.horizon)
-    return _tail_scan((pair(t, x).norm_bracket(tol, roots) for t in terms), policy.tolerance)
+    root, A, B = _chain(u)
+    if isinstance(root, (Geometric, Factorial)):
+        scalars = (s for (s,) in islice(_scalars(root).walk(B, A), policy.horizon))
+        brackets = pair(root.pattern, x).norm_brackets(scalars, tol, roots)
+    else:
+        terms = islice(u.walk(0, 1), policy.horizon)
+        brackets = (pair(t, x).norm_bracket(tol, roots) for t in terms)
+    return _tail_scan(brackets, policy.tolerance)
+
+
+def _scalars(root: Geometric | Factorial) -> IntVecSeq:
+    """The scalars s_n of root_n = s_n * root.pattern."""
+    return Geometric(root.base) if isinstance(root, Geometric) else Factorial()
 
 
 def _chain(u: IntVecSeq) -> tuple[IntVecSeq, int, int]:
@@ -1082,9 +1095,8 @@ def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict
         y = pair(root.pattern, x)
         if y.is_rational():
             # u_n = s_(A*n+B) * pattern for a scalar sequence s: <u_n, x> = s_(A*n+B) * y
-            scalar = Geometric(root.base) if isinstance(root, Geometric) else Factorial()
             point = CirclePoint.rational(y.num, y.den)
-            return _decide_rational(Subsequence(scalar, A, B), (point,), policy)
+            return _decide_rational(Subsequence(_scalars(root), A, B), (point,), policy)
     return _scan(u, x, policy)
 
 

@@ -625,6 +625,77 @@ def test_scan_takes_a_root_per_doubling_not_per_term(monkeypatch):
     assert len(calls) <= 2 * 12, len(calls)
 
 
+def _scalar_stream(rng: random.Random, h: int) -> tuple[str, list[int]]:
+    """h nonzero scalars: b^(A*n+B), (A*n+B)!, or a run of multiples broken
+    by non-multiples and sign changes, after which the product is fresh."""
+    kind = rng.choice(("geom", "fact", "mixed"))
+    A, B = rng.choice((1, 1, 2, 3)), rng.randint(0, 6)
+    if kind == "geom":
+        base = rng.randint(2, 12)
+        return kind, [base ** (A * n + B) for n in range(h)]
+    if kind == "fact":
+        return kind, [math.factorial(A * n + B) for n in range(h)]
+    s, out = rng.choice((1, -1, 7, 2**40 + 1)), []
+    for _ in range(h):
+        out.append(s)
+        if rng.random() < 0.7:
+            s *= rng.choice((1, 2, 3, 5, 12, -1, -2))
+        else:
+            s = rng.choice((s + rng.randint(1, 9), s // 3 + 1, -s - 1, rng.randint(1, 2**60))) or 1
+    return kind, out
+
+
+def _multiplicand(rng: random.Random) -> SurdSum:
+    """A rational sum, or one over one to three bases with negative numerators
+    as often as positive ones."""
+    bases = sorted(rng.sample((2, 3, 5, 6, 7, 13), rng.choice((0, 1, 1, 2, 3))))
+    terms = tuple((d, rng.choice((-1, 1)) * rng.randint(1, 40)) for d in bases)
+    return SurdSum(rng.randint(-50, 50), terms, rng.randint(1, 30))
+
+
+def test_norm_brackets_of_multiples_match_each_multiple():
+    """norm_brackets streams, for every s, the bracket of the multiple built
+    as a SurdSum and the per-term reference: across geometric, factorial
+    and strided scalars, streams that leave the run of multiples, and
+    coarse tolerances that send brackets across integers and across 1/2."""
+    rng = random.Random(20261020)
+    kinds = Counter()
+    straddles = {0: 0, Fraction(1, 2): 0}
+    for _ in range(150):
+        y = _multiplicand(rng)
+        kind, scalars = _scalar_stream(rng, rng.randint(1, 90))
+        tol = Fraction(1, rng.choice((3, 3, 3, 2**4, 2**4, 2**8, 2**20, 2**40))) / 4
+        streamed = list(y.norm_brackets(iter(scalars), tol, {}))
+        assert len(streamed) == len(scalars)
+        roots = {}
+        for s, bracket in zip(scalars, streamed):
+            multiple = SurdSum(s * y.num, tuple((d, s * b) for d, b in y.terms), y.den)
+            assert bracket == multiple.norm_bracket(tol, roots), (y, s, tol)
+            assert bracket == reference_norm_bracket(multiple, tol), (y, s, tol)
+            if y.terms:
+                enc = multiple.enclosure(tol)
+                for shift in straddles:
+                    straddles[shift] += math.floor(enc.lower + shift) != math.floor(enc.upper + shift)
+        kinds[kind, len(y.terms)] += 1
+    assert {(k, n) for k in ("geom", "fact", "mixed") for n in range(4)} <= set(kinds), kinds
+    assert min(straddles.values()) >= 50, straddles
+
+
+def test_scan_of_multiples_pairs_once(monkeypatch):
+    """A 512-term fact scan at a quadratic point pairs the pattern with the
+    point once, and each term only as its scalar."""
+    calls = []
+
+    def counting_pair(term, points):
+        calls.append(term)
+        return pair(term, points)
+
+    monkeypatch.setattr(torsion, "pair", counting_pair)
+    v = _scan(Factorial(), (CirclePoint.quadratic(-2, 1, 3, 7),), Policy(horizon=512))
+    assert v.status == "undecided" and v.horizon == 512
+    assert calls == [(1,)]
+
+
 def test_continued_fraction_cache_keeps_the_latest_points():
     points = [CirclePoint.quadratic(1, 1, c, 2) for c in range(3, 303)]
     for alpha in points:
