@@ -303,6 +303,8 @@ class SurdSum:
 
     def _times(self, s: int) -> "SurdSum":
         """s*value over the same den, for an integer s != 0."""
+        if s == 1:
+            return self
         return SurdSum(s * self.num, tuple((d, s * b) for d, b in self.terms), self.den)
 
     def is_rational(self) -> bool:
