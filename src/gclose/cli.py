@@ -295,22 +295,22 @@ def parse_group(text: str, base: int = 0) -> FgAbelianGroup:
         raise ParseError(str(exc), base) from None
 
 
-def _split_top(text: str, sep: str) -> list[str]:
-    parts = []
-    depth = 0
-    cur = []
-    for ch in text:
+def _interleave_children(body: str, base: int):
+    """(piece, position, index of its last top-level '@' or None) for each
+    child of an interleave body.  A top-level ';' ends a child only once the
+    child has its top-level '@block', so a list child keeps its own ';'."""
+    depth, start, at = 0, 0, None
+    for i, ch in enumerate(body):
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch == sep and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return parts
+        elif ch == "@" and depth == 0:
+            at = i - start
+        elif ch == ";" and depth == 0 and at is not None:
+            yield body[start:i], base + start, at
+            start, at = i + 1, None
+    yield body[start:], base + start, at
 
 
 def _parse_int_tuple(text: str, base: int) -> tuple[int, ...]:
@@ -372,16 +372,7 @@ def _parse_seq(text: str, base: int, depth: int) -> IntVecSeq:
         if t.startswith("interleave(") and t.endswith(")"):
             children = []
             blocks = []
-            for piece, offset in _positioned(_split_top(t[11:-1], ";"), base + 11):
-                parens = 0
-                at = None
-                for i, ch in enumerate(piece):
-                    if ch == "(":
-                        parens += 1
-                    elif ch == ")":
-                        parens -= 1
-                    elif ch == "@" and parens == 0:
-                        at = i
+            for piece, offset, at in _interleave_children(t[11:-1], base + 11):
                 if at is None:
                     raise ParseError("expected '<seq>@<block>'", offset)
                 children.append(_parse_seq(piece[:at], offset, depth + 1))

@@ -5,7 +5,8 @@ A sequence u = (u_n) of integer vectors acts on a point x (one CirclePoint
 per coordinate) by n |-> <u_n, x> mod 1.  Membership of x in s_u means this
 scalar orbit converges to 0 in R/Z.  Sequences walk their terms: walk(n0, s)
 yields u_n0, u_(n0+s), ..., each built from the one before, and a finite
-sequence's walk ends after its last term.  Verdicts come in three strengths:
+sequence's walk ends after its last term; length counts the terms in closed
+form, None for an infinite sequence.  Verdicts come in three strengths:
 
 * Exact: decided, with a finitely checkable reason (an eventual-zero index,
   or an escaping residue that recurs with a stated period).
@@ -31,7 +32,11 @@ cycle's residue of largest norm.  For a geometric cycle it searches the
 units of Z/m nearest m/2 by baby-step giant-step, in O(sqrt(period)) steps
 when they lie in the cycle; any other cycle, or a search that gives up,
 takes a single walk.  The state cap bounds every part of an orbit (each
-leaf, each interleave and the whole); past it the ladder scans.
+leaf, each interleave and the whole).  The ladder is exact only: past the
+cap, or where no route applies, it gives no verdict, and the sequence that
+was asked about is scanned.  An interleave is exact when its parts are (Out
+from the first part that escapes, In when every part is eventually 0), and
+is otherwise scanned as one sequence.
 Quadratic orbits along continued-fraction denominators are decided through
 the classical approximation bound |q_n*alpha - p_n| < 1/q_{n+1}.
 
@@ -113,8 +118,9 @@ class TorsionError(ValueError):
 class IntVecSeq:
     """Integer vectors u_0, u_1, ... in Z^k, read in order by walk."""
 
-    # whether the walk ends; only Explicit leaves end
-    is_finite = False
+    # number of terms, in closed form; None for an infinite sequence (only
+    # Explicit leaves end)
+    length: int | None = None
 
     def dimension(self) -> int:
         raise NotImplementedError
@@ -229,7 +235,6 @@ class Explicit(IntVecSeq):
     """Finite list of terms."""
 
     terms: tuple[tuple[int, ...], ...]
-    is_finite = True
 
     def __post_init__(self):
         if not self.terms:
@@ -240,6 +245,10 @@ class Explicit(IntVecSeq):
 
     def dimension(self) -> int:
         return len(self.terms[0])
+
+    @property
+    def length(self) -> int:
+        return len(self.terms)
 
     def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
         return iter(self.terms[n0::s])
@@ -287,8 +296,9 @@ class Subsequence(IntVecSeq):
         return self.parent.dimension()
 
     @property
-    def is_finite(self) -> bool:
-        return self.parent.is_finite
+    def length(self) -> int | None:
+        n = self.parent.length
+        return None if n is None else max(0, -((self.offset - n) // self.stride))
 
     def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
         return self.parent.walk(self.offset + self.stride * n0, self.stride * s)
@@ -337,19 +347,17 @@ class Interleave(IntVecSeq):
         return c * cycle + sum(self.blocks[:child]) + p
 
     @property
-    def is_finite(self) -> bool:
-        return any(c.is_finite for c in self.children)
+    def length(self) -> int | None:
+        """The first global index whose child has no term."""
+        children = enumerate(self.children)
+        ends = [self.global_index(j, n) for j, c in children if (n := c.length) is not None]
+        return min(ends, default=None)
 
     def walk(self, n0: int, s: int) -> Iterator[tuple[int, ...]]:
         """One walk per child, started once and advanced to each local index
-        asked.  A finite interleave ends at the first index whose child has
-        no term, found from the lengths of the finite children's walks."""
-        ends = (
-            self.global_index(j, sum(1 for _ in c.walk(0, 1)))
-            for j, c in enumerate(self.children)
-            if c.is_finite
-        )
-        indices = range(n0, min(ends), s) if self.is_finite else count(n0, s)
+        asked; a finite interleave ends at its length."""
+        end = self.length
+        indices = count(n0, s) if end is None else range(n0, end, s)
         walks = {}
         for j, m in map(self._locate, indices):
             walk, at = walks.get(j) or (self.children[j].walk(m, 1), m)
@@ -839,19 +847,18 @@ def _tail_scan(brackets: Iterable[tuple[int, int, int]], tol: Fraction) -> Verdi
 
 
 def _finite_scan(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
-    """Exact In when the pairings of all h terms vanish from some index t
-    on, else the scan under the policy.  The end is looked for only among
-    the first horizon + 1 terms, so a sequence longer than the horizon is
-    scanned; a pass pairs every term only when the last pairing is 0."""
-    end = deque(enumerate(islice(u.walk(0, 1), policy.horizon + 1), 1), maxlen=1)
-    if not end:
+    """Exact In when the pairings of all h = u.length terms vanish from some
+    index t on, else the scan under the policy.  A sequence longer than the
+    horizon is scanned; a pass pairs every term only when the last pairing
+    is 0."""
+    h = u.length
+    if not h:
         return Verdict.exact_in(
             "sequence defines no terms; convergence holds vacuously",
             from_index=0,
             sequence_horizon=0,
         )
-    h, last = end[0]
-    if h > policy.horizon or not pair(last, x).is_integer():
+    if h > policy.horizon or not pair(eval_seq(u, h - 1), x).is_integer():
         return _scan(u, x, policy)
     t = max((n for n, v in enumerate(u.walk(0, 1), 1) if not pair(v, x).is_integer()), default=0)
     return Verdict.exact_in(
@@ -910,7 +917,8 @@ def _factorial_in(c: int, q: int, A: int, B: int) -> Verdict:
     )
 
 
-def _decide_rational(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
+def _decide_rational(u: IntVecSeq, x: tuple[CirclePoint, ...]) -> Verdict | None:
+    """The residue orbit's verdict, or None when it passes the state cap."""
     q = lcm(*(p.den for p in x))
     w = tuple(p.num * (q // p.den) for p in x)
     root, A, B = _chain(u)
@@ -918,7 +926,7 @@ def _decide_rational(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -
         return _factorial_in(_dot(root.pattern, w) % q, q, A, B)
     orbit = _orbit(u, w, q)
     if orbit is None:
-        return _scan(u, x, policy)
+        return None
     best, _, idx = _summarize_cycle(orbit, q)
     return _orbit_verdict(q, orbit.first, orbit.period, best, idx)
 
@@ -938,16 +946,14 @@ def _cf_pairing(alpha: CirclePoint, x: CirclePoint) -> tuple[tuple[int, ...], in
     return (int(m * L), int(r * L)), L
 
 
-def _decide_cf_quadratic(
-    u: IntVecSeq, x: CirclePoint, pairing: tuple[tuple[int, ...], int], policy: Policy
-) -> Verdict:
+def _decide_cf_quadratic(u: IntVecSeq, pairing: tuple[tuple[int, ...], int]) -> Verdict | None:
     """Decide q_(A*n+B)*x for x in alpha's field through the pair orbit of
-    _cf_pairing, or scan when that orbit passes the state cap."""
+    _cf_pairing, or None when that orbit passes the state cap."""
     root, A, B = _chain(u)
     w, L = pairing
     orbit = _orbit(u, w, L)
     if orbit is None:
-        return _scan(u, (x,), policy)
+        return None
     m, r = Fraction(w[0], L), Fraction(w[1], L)
     first, period = orbit.first, orbit.period
     best, vnorm, idx = _summarize_cycle(orbit, L)
@@ -1008,9 +1014,13 @@ def _decide_constant_value(value: SurdSum) -> Verdict:
         tol /= 2**16
 
 
-def _combine_interleave(u: Interleave, verdicts: list[Verdict]) -> Verdict:
-    for j, v in enumerate(verdicts):
-        if v.status == EXACT and v.member is False:
+def _combine_interleave(u: Interleave, x: tuple[CirclePoint, ...]) -> Verdict | None:
+    """Exact Out from the first child whose exact verdict escapes, Exact In
+    when every child's exact verdict is In, else None."""
+    verdicts = []
+    for j, child in enumerate(u.children):
+        v = _exact(child, x)
+        if v is not None and not v.member:
             e0 = v.fact("escape_index", 0)
             period = v.fact("period", 1)
             big = lcm(period, u.blocks[j])
@@ -1023,38 +1033,16 @@ def _combine_interleave(u: Interleave, verdicts: list[Verdict]) -> Verdict:
                 period=gper,
                 component=j,
             )
-    if all(v.status == EXACT and v.member for v in verdicts):
-        start = max(
-            u.global_index(j, f) if (f := v.fact("from_index", 0)) > 0 else 0
-            for j, v in enumerate(verdicts)
-        )
-        return Verdict.exact_in(
-            f"every interleaved component is eventually 0; combined from n >= {start}",
-            from_index=start,
-        )
-    if any(v.status == UNDECIDED for v in verdicts):
-        j = next(i for i, v in enumerate(verdicts) if v.status == UNDECIDED)
-        return Verdict.undecided(
-            f"interleaved component {j} undecided: {verdicts[j].reason}",
-            horizon=verdicts[j].horizon,
-            worst=verdicts[j].worst_bound,
-            component=j,
-        )
-    horizon = min(
-        u.global_index(j, v.horizon)
+        verdicts.append(v)
+    if any(v is None for v in verdicts):
+        return None
+    start = max(
+        u.global_index(j, f) if (f := v.fact("from_index", 0)) > 0 else 0
         for j, v in enumerate(verdicts)
-        if v.status == CERTIFIED_UP_TO
     )
-    worst = max(
-        (v.worst_bound for v in verdicts if v.worst_bound is not None),
-        default=Fraction(0),
-    )
-    return Verdict.certified(
-        horizon,
-        worst,
-        (),
-        f"every interleaved component is exact-in or certified below tolerance "
-        f"(combined horizon {horizon})",
+    return Verdict.exact_in(
+        f"every interleaved component is eventually 0; combined from n >= {start}",
+        from_index=start,
     )
 
 
@@ -1076,12 +1064,20 @@ def s_membership(
 
 
 def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict:
-    if u.is_finite:
+    """_finite_scan for a finite u; else the exact ladder, or one scan of u
+    itself where the ladder gives no verdict."""
+    if u.length is not None:
         return _finite_scan(u, x, policy)
+    return _exact(u, x) or _scan(u, x, policy)
+
+
+def _exact(u: IntVecSeq, x: tuple[CirclePoint, ...]) -> Verdict | None:
+    """The exact verdict on an infinite u, or None where no route applies or
+    an orbit passes the state cap."""
     if isinstance(u, Interleave):
-        return _combine_interleave(u, [_decide(c, x, policy) for c in u.children])
+        return _combine_interleave(u, x)
     if all(p.is_rational for p in x):
-        return _decide_rational(u, x, policy)
+        return _decide_rational(u, x)
     root, A, B = _chain(u)
     if isinstance(root, Constant):
         return _decide_constant_value(pair(root.vector, x))
@@ -1090,14 +1086,14 @@ def _decide(u: IntVecSeq, x: tuple[CirclePoint, ...], policy: Policy) -> Verdict
         and len(x) == 1
         and (pairing := _cf_pairing(root.alpha, x[0])) is not None
     ):
-        return _decide_cf_quadratic(u, x[0], pairing, policy)
+        return _decide_cf_quadratic(u, pairing)
     if isinstance(root, (Geometric, Factorial)):
         y = pair(root.pattern, x)
         if y.is_rational():
             # u_n = s_(A*n+B) * pattern for a scalar sequence s: <u_n, x> = s_(A*n+B) * y
             point = CirclePoint.rational(y.num, y.den)
-            return _decide_rational(Subsequence(_scalars(root), A, B), (point,), policy)
-    return _scan(u, x, policy)
+            return _decide_rational(Subsequence(_scalars(root), A, B), (point,))
+    return None
 
 
 def t_membership(

@@ -3,16 +3,18 @@ and configuration precedence.  Parser totality is fuzzed: arbitrary text
 must either parse or raise a structured ParseError, never anything else.
 """
 
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from gclose import cli
@@ -236,6 +238,9 @@ def test_parse_seq_forms():
     assert [eval_seq(sub, n)[0] for n in range(4)] == [1, 5, 21, 89]
     inter = parse_seq("interleave(geom:2@2;fact@1)")
     assert isinstance(inter, Interleave) and inter.blocks == (2, 1)
+    # a top-level ';' ends a child only once the child has its '@block'
+    listed = parse_seq("interleave(list:1;2@1;geom:2@1)")
+    assert listed == Interleave((Explicit(((1,), (2,))), Geometric(2)), (1, 1))
 
 
 def test_parse_seq_errors():
@@ -289,37 +294,78 @@ def test_sequence_nesting_is_capped(nest, step, capsys):
         )
 
 
-@given(
-    st.recursive(
-        st.one_of(
-            st.builds(Geometric, st.integers(min_value=2, max_value=9)),
-            st.just(Factorial()),
-            st.just(CFDenominators(GOLDEN)),
-            st.builds(
-                Constant,
-                st.tuples(st.integers(min_value=-9, max_value=9).filter(bool)),
-            ),
-        ),
-        lambda leaf: st.one_of(
+def _sequences(k: int):
+    """Nested sub and interleave forms over every leaf kind on Z^k, with
+    multi-term lists; cfden only when k = 1."""
+    vec = st.tuples(*[st.integers(min_value=-9, max_value=9)] * k)
+    leaves = [
+        st.builds(Geometric, st.integers(min_value=2, max_value=9), vec),
+        st.builds(Factorial, vec),
+        st.builds(Constant, vec),
+        st.builds(Explicit, st.lists(vec, min_size=1, max_size=4).map(tuple)),
+    ]
+    if k == 1:
+        alphas = (GOLDEN, CirclePoint.quadratic(-1, 1, 1, 2), CirclePoint.quadratic(1, 1, 5, 7))
+        leaves.append(st.sampled_from(alphas).map(CFDenominators))
+    blocks = st.integers(min_value=1, max_value=3)
+    return st.recursive(
+        st.one_of(leaves),
+        lambda inner: st.one_of(
             st.builds(
                 Subsequence,
-                leaf,
+                inner,
                 st.integers(min_value=1, max_value=4),
                 st.integers(min_value=0, max_value=3),
             ),
-            st.builds(
-                lambda children: Interleave(children, tuple(1 for _ in children)),
-                st.lists(leaf, min_size=2, max_size=3).map(tuple),
+            st.lists(st.tuples(inner, blocks), min_size=1, max_size=3).map(
+                lambda parts: Interleave(*map(tuple, zip(*parts)))
             ),
         ),
-        max_leaves=4,
+        max_leaves=5,
     )
-)
+
+
+@given(_sequences(1))
 @settings(max_examples=80)
 def test_describe_parse_round_trip(u):
     again = parse_seq(u.describe())
     assert again == u
     assert again.describe() == u.describe()
+
+
+_POINT_LITERALS = st.one_of(
+    st.builds(
+        CirclePoint.rational,
+        st.integers(min_value=-20, max_value=20),
+        st.integers(min_value=1, max_value=60),
+    ),
+    st.builds(
+        CirclePoint.quadratic,
+        st.integers(min_value=-9, max_value=9),
+        st.sampled_from((-2, -1, 1, 3)),
+        st.integers(min_value=1, max_value=9),
+        st.sampled_from((2, 3, 5, 7)),
+    ),
+).map(str)
+
+
+@st.composite
+def _membership_argv(draw):
+    k = draw(st.sampled_from((1, 1, 2)))
+    verb = "tmem" if k == 1 and draw(st.booleans()) else "smem"
+    points = ",".join(draw(st.lists(_POINT_LITERALS, min_size=k, max_size=k)))
+    seq = draw(_sequences(k)).describe()
+    return [verb, "--seq", seq, "--point", points, "--horizon", "16"]
+
+
+@given(_membership_argv())
+@seed(20261021)
+@settings(max_examples=300, deadline=None, database=None)
+def test_membership_literals_through_main_exit_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2) and err.getvalue() == "", (argv, code, err.getvalue())
 
 
 @given(st.text(max_size=40))

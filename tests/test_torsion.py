@@ -250,7 +250,7 @@ def test_walks_match_the_reference_terms_and_horizons():
     for _ in range(600):
         u = _walk_tree(rng, 3)
         h = reference_horizon(u)
-        assert u.is_finite == (h is not None), u.describe()
+        assert u.length == reference_horizon(u), u.describe()
         if h is not None:
             seen["finite"] += 1
             seen["empty"] += h == 0
@@ -322,6 +322,49 @@ def test_strided_walks_of_finite_interleaves_jump_to_their_end():
     assert (half.fact("from_index"), half.fact("sequence_horizon")) == (1, 2)
     assert golden.status == "undecided" and golden.horizon == 2
     assert golden.fact("offending_index") == 1
+
+
+def test_length_of_a_nested_finite_interleave_reads_no_term(monkeypatch):
+    # sub(1000000,0):interleave(interleave(list:1@1;const:2@1000000)@1;geom:3@1):
+    # the inner interleave ends at 1000001, the outer at 2000002, the stride
+    # keeps indices 0, 1000000 and 2000000
+    def no_walk(self, n0, s):
+        raise AssertionError(f"walk({n0}, {s}) of {self.describe()}")
+
+    for kind in (Explicit, Constant, Geometric, Interleave, Subsequence):
+        monkeypatch.setattr(kind, "walk", no_walk)
+    inner = Interleave((Explicit(((1,),)), Constant((2,))), (1, 10**6))
+    u = Subsequence(Interleave((inner, Geometric(3)), (1, 1)), 10**6, 0)
+    assert (inner.length, u.parent.length, u.length) == (10**6 + 1, 2 * 10**6 + 2, 3)
+    assert Constant((2,)).length is None and Subsequence(inner, 10**6, 10**6 + 1).length == 0
+
+
+def test_interleave_escape_is_decided_without_a_scan(monkeypatch):
+    # the geom:2 child has no exact route at the golden ratio; the const:1
+    # child escapes, and that decides the interleave with no scan at all
+    scans = []
+
+    def counting_scan(u, x, policy):
+        scans.append(u)
+        return _scan(u, x, policy)
+
+    monkeypatch.setattr(torsion, "_scan", counting_scan)
+    v = t_membership(Interleave((Geometric(2), Constant((1,))), (1, 1)), GOLDEN)
+    assert v.status == "exact" and v.member is False
+    assert v.detail == (("component", 1), ("escape_index", 1), ("period", 2))
+    assert v.reason.startswith("interleaved component 1 escapes: constant irrational")
+    assert scans == []
+
+
+def test_inexact_interleave_is_scanned_as_one_sequence():
+    # neither child has an exact route, so the report is the scan of the
+    # interleave itself: its offending index is a global index
+    u = Interleave((Geometric(4), Geometric(5)), (3, 3))
+    x = (CirclePoint.quadratic(2, 1, 8, 5),)
+    policy = Policy(horizon=128)
+    v = s_membership(u, x, policy)
+    assert v == _scan(u, x, policy)
+    assert v.status == "undecided" and v.fact("offending_index") == 127
 
 
 # membership: frozen examples ---------------------------------------------------
