@@ -44,10 +44,14 @@ One function, _verify_terms, evaluates every certificate claim.  For a
 sequence u on Z^k, generators h and N >= 1 terms it reads u_0, ..., u_(N-1)
 from walk(0, 1) and checks exactly, for each n < N: u_n exists and is a
 nonzero vector of length k; norm(<u_n, h>) <= 2^-n for every h; given an
-escape character chi, len(chi) = k, 0 < delta <= 1/2 and norm(<u_n, chi>)
->= delta.  Producers run it on their own output; re-checkers run it and
-compare each stored index, term, envelope and threshold with n, u_n, 2^-n
-and delta.  A term equal to the one before reuses its pairings.
+escape character chi, len(chi) = k, delta is a Fraction in (0, 1/2] and
+norm(<u_n, chi>) >= delta.  One norm bracket per value decides its claim
+and gives its display bound (at 2^-(n+3) for a generator, at delta/8 for
+chi); only a bracket that straddles its threshold is compared exactly.
+Producers run it on their own output; re-checkers run it and require each
+stored index, term, envelope and threshold to be n, u_n, the Fraction 2^-n
+and the Fraction delta.  A term equal to the one before reuses its
+pairings and its escape bound, and its null bounds when they are rational.
 
 One staged search, _staged_search, produces null sequences and escape
 witnesses alike: a null sequence is a witness without the escape condition.
@@ -1189,18 +1193,30 @@ def _verify_terms(
     count: int,
     chi: tuple[CirclePoint, ...] | None = None,
     delta: Fraction | None = None,
-) -> list[tuple[tuple[int, ...], tuple[SurdSum, ...], SurdSum | None]] | None:
+) -> list[tuple[tuple[int, ...], tuple[Fraction, ...], Fraction | None]] | None:
     """The certificate verifier of the module docstring, on the first count
-    terms of seq.  Returns per n (u_n, the generator pairings, the chi pairing
-    or None), so producers derive display bounds without pairing again; None
-    as soon as one claim fails.  A term equal to the one before reuses its
-    pairings; every norm is still compared at every n."""
+    terms of seq.  Returns per n (u_n, the display upper bounds of its
+    generator norms, the display lower bound of its chi norm or None), so
+    producers write certificates without pairing again; None as soon as one
+    claim fails, or when delta is not a Fraction.
+
+    One norm bracket (lo, hi, scale) per value decides its claim and gives
+    its display bound.  norm(<u_n, h>) <= 2^-n reads the bracket at
+    2^-(n+3): it holds if hi*2^n <= scale, fails if lo*2^n > scale, and its
+    bound is hi/scale.  norm(<u_n, chi>) >= delta = p/q reads the bracket at
+    delta/8: it holds if lo*q >= p*scale, fails if hi*q < p*scale, and its
+    bound is lo/scale.  Only a bracket that straddles its threshold is
+    compared exactly, by norm_cmp.  A rational bracket is exact at any
+    tolerance, so a repeated term with rational generator pairings keeps
+    its brackets and tests only hi*2^n <= scale again."""
     k = topology.ambient.free_rank
     if count < 1:
         return None
-    if chi is not None and (len(chi) != k or not 0 < delta <= Fraction(1, 2)):
+    if chi is not None and (
+        len(chi) != k or not isinstance(delta, Fraction) or not 0 < delta <= Fraction(1, 2)
+    ):
         return None
-    checked = []
+    rows = []
     previous = None
     try:
         for n, term in enumerate(islice(seq.walk(0, 1), count)):
@@ -1208,30 +1224,62 @@ def _verify_terms(
                 if len(term) != k or not any(term):
                     return None
                 values = tuple(pair(term, h) for h in topology.characters)
-                escape = None if chi is None else pair(term, chi)
+                exact = all(v.is_rational() for v in values)
+                brackets = lower = None
+                if chi is not None:
+                    lower = _escape_lower(pair(term, chi), delta)
+                    if lower is None:
+                        return None
                 previous = term
-            envelope = Fraction(1, 2**n)
-            if any(value.norm_cmp(envelope) > 0 for value in values):
+            if brackets is None or not exact:
+                brackets = _null_brackets(values, n)
+                if brackets is None:
+                    return None
+                uppers = tuple(Fraction(hi, scale) for hi, scale in brackets)
+            elif any(hi << n > scale for hi, scale in brackets):
                 return None
-            if escape is not None and escape.norm_cmp(delta) < 0:
-                return None
-            checked.append((term, values, escape))
+            rows.append((term, uppers, lower))
     except ValueError:  # a malformed point
         return None
-    return checked if len(checked) == count else None  # None if seq ended early
+    return rows if len(rows) == count else None  # None if seq ended early
 
 
-def _null_terms(checked) -> tuple[NullTermCert, ...]:
-    """Certificates for verified terms; norms are display upper bounds
-    computed to within 2^-(n+3)."""
+def _null_brackets(values: tuple[SurdSum, ...], n: int) -> list[tuple[int, int]] | None:
+    """(hi, scale) of each value's norm bracket at 2^-(n+3), or None when a
+    claim norm <= 2^-n fails."""
+    tol = Fraction(1, 1 << (n + 3))
+    out = []
+    for v in values:
+        lo, hi, scale = v.norm_bracket(tol)
+        if hi << n > scale and (lo << n > scale or v.norm_cmp(Fraction(1, 1 << n)) > 0):
+            return None
+        out.append((hi, scale))
+    return out
+
+
+def _escape_lower(value: SurdSum, delta: Fraction) -> Fraction | None:
+    """lo/scale of value's norm bracket at delta/8, or None when the claim
+    norm >= delta fails."""
+    p, q = delta.numerator, delta.denominator
+    lo, hi, scale = value.norm_bracket(delta / 8)
+    if lo * q < p * scale and (hi * q < p * scale or value.norm_cmp(delta) < 0):
+        return None
+    return Fraction(lo, scale)
+
+
+def _is_fraction(x, p: int, q: int) -> bool:
+    """True iff a stored field x is the Fraction p/q, for p/q in lowest
+    terms with q > 0; a float or an int of equal value is not."""
+    return isinstance(x, Fraction) and x.numerator == p and x.denominator == q
+
+
+def _null_terms(rows) -> tuple[NullTermCert, ...]:
+    """Certificates for verified terms, from the rows of _verify_terms: the
+    norms are the display upper bounds of the brackets that decided each
+    claim, within 2^-(n+3) of the exact norm."""
     return tuple(
-        NullTermCert(
-            n,
-            term,
-            tuple(v.norm_enclosure(Fraction(1, 2 ** (n + 3))).upper for v in values),
-            Fraction(1, 2**n),
-        )
-        for n, (term, values, _) in enumerate(checked)
+        NullTermCert(n, term, uppers, Fraction(1, 1 << n))
+        for n, (term, uppers, _) in enumerate(rows)
     )
 
 
@@ -1475,10 +1523,11 @@ def recheck_null_certificate(
     topology: PrecompactTopology, result: NullSequenceResult
 ) -> bool:
     """Recompute every certificate claim from scratch: True iff _verify_terms
-    passes and stored term n has index n, term u_n and envelope 2^-n."""
+    passes and stored term n has index n, term u_n and the Fraction
+    envelope 2^-n."""
     terms = result.certificate.terms
     checked = _verify_terms(result.sequence, topology, len(terms))
     return checked is not None and all(
-        tc.index == n and tc.term == term and tc.envelope == Fraction(1, 2**n)
+        tc.index == n and tc.term == term and _is_fraction(tc.envelope, 1, 1 << n)
         for n, (tc, (term, _, _)) in enumerate(zip(terms, checked))
     )

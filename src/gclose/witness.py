@@ -7,11 +7,13 @@ far from 0 on it (norm >= delta per term).
 
 Only torsion._verify_terms is trusted.  For each n below the certificate
 length (>= 1) it checks exactly: a_n is nonzero of length k; norm(<a_n, h>)
-<= 2^-n for every generator h of H; len(chi) = k, 0 < delta <= 1/2 and
-norm(<a_n, chi>) >= delta.  The search is torsion's staged search, run
+<= 2^-n for every generator h of H; len(chi) = k, delta is a Fraction in
+(0, 1/2] and norm(<a_n, chi>) >= delta.  One norm bracket per value decides
+each claim and gives its display bound; only a bracket that straddles its
+threshold is compared exactly.  The search is torsion's staged search, run
 with chi as its escape character (null_sequence runs it without one).  It
-runs _verify_terms on each candidate, and check_witness reruns it on a
-stored witness.
+runs _verify_terms on each candidate and writes the certificates from the
+bounds it returns; check_witness reruns it on a stored witness.
 
 An Exhausted result asserts nothing: failure to find a witness is consistent
 with membership, never proof of it.
@@ -32,6 +34,7 @@ from .torsion import (
     NullTermCert,
     Verdict,
     _Failed,
+    _is_fraction,
     _null_terms,
     _staged_search,
     _TopologyWork,
@@ -140,7 +143,8 @@ def find_witness(
 
 def _search(work: _TopologyWork, chi, delta, budget) -> Witness | Exhausted:
     """find_witness on the topology of work, reusing what work has built.
-    Escape norms are display lower bounds computed to within delta/8."""
+    Escape norms are the display lower bounds of the brackets, at delta/8,
+    that decided each escape claim."""
     chi, delta = _validate(work.topology, chi, delta)
     if all(p.is_rational for p in chi):
         c = lcm(*(p.den for p in chi))
@@ -155,8 +159,7 @@ def _search(work: _TopologyWork, chi, delta, budget) -> Witness | Exhausted:
     if isinstance(result, _Failed):
         return Exhausted(result.reason, result.candidates_used)
     escapes = tuple(
-        EscapeTermCert(n, term, escape.norm_enclosure(delta / 8).lower, delta)
-        for n, (term, _, escape) in enumerate(result.rows)
+        EscapeTermCert(n, term, lower, delta) for n, (term, _, lower) in enumerate(result.rows)
     )
     return Witness(result.sequence, delta, _null_terms(result.rows), escapes, result.strategy)
 
@@ -168,17 +171,20 @@ def check_witness(
 ) -> bool:
     """Recompute every certificate claim from scratch: True iff _verify_terms
     passes and stored term n has, in both certificates, index n and term
-    a_n, with envelope 2^-n and threshold delta."""
+    a_n, with the Fraction envelope 2^-n and the Fraction threshold delta."""
     delta = witness.escape_threshold
     nulls, escapes = witness.null_certificate, witness.escape_certificate
     if len(nulls) != len(escapes):
         return False
     checked = _verify_terms(witness.sequence, topology, len(nulls), tuple(chi), delta)
-    return checked is not None and all(
+    if checked is None:
+        return False
+    p, q = delta.numerator, delta.denominator
+    return all(
         nc.index == ec.index == n
         and nc.term == ec.term == term
-        and nc.envelope == Fraction(1, 2**n)
-        and ec.threshold == delta
+        and _is_fraction(nc.envelope, 1, 1 << n)
+        and _is_fraction(ec.threshold, p, q)
         for n, (nc, ec, (term, _, _)) in enumerate(zip(nulls, escapes, checked))
     )
 

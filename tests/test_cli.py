@@ -398,6 +398,34 @@ def test_membership_literals_through_main_exit_0_or_2(argv):
     assert code in (0, 2) and err.getvalue() == "", (argv, code, err.getvalue())
 
 
+@st.composite
+def _certificate_argv(draw):
+    k = draw(st.sampled_from((1, 1, 2)))
+    vector = st.lists(_POINT_LITERALS, min_size=k, max_size=k).map(",".join)
+    gens = ";".join(draw(st.lists(vector, min_size=1, max_size=2)))
+    verb = draw(st.sampled_from(("witness", "nullseq", "gmem")))
+    if verb == "nullseq":
+        argv = [verb, "--chars", gens]
+    else:
+        argv = [verb, "--gens", gens, "--chi", draw(vector)]
+    if verb == "witness":
+        argv += ["--delta", draw(st.sampled_from(("1/2", "1/3", "1/5", "1/12")))]
+    return argv + ["--budget", "4,32", "--format", draw(st.sampled_from(("human", "json")))]
+
+
+@given(_certificate_argv())
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+def test_certificate_literals_through_main_exit_0_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2) and err.getvalue() == "", (argv, code, err.getvalue())
+    if argv[0] == "witness" and argv[-1] == "json":
+        result = report_from_json(out.getvalue()).result
+        if result["found"]:
+            assert check_witness(*witness_from_result(result)), argv
+
+
 @given(st.text(max_size=40))
 @settings(max_examples=200)
 def test_parser_totality(text):

@@ -65,6 +65,7 @@ from gclose.torsion import (
     _orbit_verdict,
     _scan,
     _summarize_cycle,
+    _verify_terms,
 )
 
 GOLDEN = CirclePoint.quadratic(-1, 1, 2, 5)
@@ -1491,6 +1492,7 @@ def test_null_certificate_tamper_detected():
         )))
 
     assert recheck_null_certificate(third, forged((0, Fraction(1)), (1, Fraction(1, 2))))
+    halvings = ((n, Fraction(1, 2**n)) for n in range(3))
     tampered = {
         "shifted sequence": (t, NullSequenceResult(
             Subsequence(CFDenominators(GOLDEN), 2, 1), out.certificate
@@ -1502,6 +1504,12 @@ def test_null_certificate_tamper_detected():
             out.certificate.terms[:1] + out.certificate.terms[2:],
         ))),
         "empty certificate": (third, forged()),
+        "norm 1/3 above the envelope 1/4": (third, forged(*halvings)),
+        # 0.5 == Fraction(1, 2), but a certificate holds no floating point
+        "envelopes as floats": (t, NullSequenceResult(out.sequence, NullCertificate(
+            out.certificate.strategy,
+            tuple(replace(tc, envelope=float(tc.envelope)) for tc in out.certificate.terms),
+        ))),
         "sequence one term short": (t, NullSequenceResult(
             Explicit(tuple(tc.term for tc in out.certificate.terms[:-1])), out.certificate
         )),
@@ -1563,3 +1571,148 @@ def test_null_sequence_determinism():
     assert isinstance(a, NullSequenceResult)
     assert a.sequence.describe() == b.sequence.describe()
     assert a.certificate == b.certificate
+
+
+# the certificate verifier -----------------------------------------------------
+
+
+def reference_verify_terms(seq, topology, count, chi=None, delta=None):
+    """The verifier before one bracket served each value: every claim is
+    compared exactly by norm_cmp at every n, and every display bound comes
+    from its own norm_enclosure.  Rows are (u_n, the generator norms' upper
+    bounds at 2^-(n+3), the chi norm's lower bound at delta/8 or None)."""
+    k = topology.ambient.free_rank
+    if count < 1:
+        return None
+    if chi is not None and (len(chi) != k or not 0 < delta <= Fraction(1, 2)):
+        return None
+    rows = []
+    try:
+        for n, term in enumerate(islice(seq.walk(0, 1), count)):
+            if len(term) != k or not any(term):
+                return None
+            values = tuple(pair(term, h) for h in topology.characters)
+            escape = None if chi is None else pair(term, chi)
+            envelope = Fraction(1, 2**n)
+            if any(v.norm_cmp(envelope) > 0 for v in values):
+                return None
+            if escape is not None and escape.norm_cmp(delta) < 0:
+                return None
+            uppers = tuple(v.norm_enclosure(Fraction(1, 2 ** (n + 3))).upper for v in values)
+            lower = None if escape is None else escape.norm_enclosure(delta / 8).lower
+            rows.append((term, uppers, lower))
+    except ValueError:
+        return None
+    return rows if len(rows) == count else None
+
+
+def _random_point(rng):
+    if rng.random() < 0.5:
+        return CirclePoint.rational(rng.randint(-20, 20), rng.randint(1, 30))
+    return CirclePoint.quadratic(
+        rng.randint(-9, 9), rng.choice((-2, -1, 1, 3)), rng.randint(1, 9), rng.choice((2, 3, 5, 7))
+    )
+
+
+def _perturbed(terms, rng):
+    """The terms with one of them, at a random index, changed."""
+    n = rng.randrange(len(terms))
+    a = terms[n]
+    changed = rng.choice((
+        tuple(x + rng.choice((-1, 1)) for x in a),
+        tuple(2 * x for x in a),
+        tuple(x + rng.randint(-3, 3) for x in a),
+        terms[-1],
+        (1,) + (0,) * (len(a) - 1),
+    ))
+    return Explicit(terms[:n] + (changed,) + terms[n + 1:])
+
+
+def test_verify_terms_matches_the_reference():
+    from gclose.witness import Witness, find_witness
+
+    rng = random.Random(2929)
+    deltas = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 12), Fraction(1, 30))
+    cases, verdicts = 0, Counter()
+    while cases < 600:
+        k, m = rng.choice((1, 2)), rng.choice((1, 2))
+        t = _topology(*(tuple(_random_point(rng) for _ in range(k)) for _ in range(m)))
+        chi = tuple(_random_point(rng) for _ in range(k))
+        delta = rng.choice(deltas)
+        budget = Budget(max_terms=rng.choice((4, 12)), max_candidates=64)
+        found = [find_witness(t, chi, delta, budget), null_sequence(t, budget)]
+        seqs = [r.sequence for r in found if isinstance(r, (Witness, NullSequenceResult))]
+        count = budget.max_terms
+        if not seqs:
+            seqs = [Explicit(tuple(
+                tuple(rng.randint(-40, 40) or 1 for _ in range(k)) for _ in range(count)
+            ))]
+        for seq in seqs:
+            terms = tuple(islice(seq.walk(0, 1), count))
+            # a constant repeats one term, whose claims hold up to some n
+            shifted = Constant(tuple(x + 1 for x in terms[0]))
+            for s in (seq, _perturbed(terms, rng), _perturbed(terms, rng), shifted):
+                for c, d in ((None, None), (chi, delta), (chi, rng.choice(deltas))):
+                    got = _verify_terms(s, t, count, c, d)
+                    assert got == reference_verify_terms(s, t, count, c, d), (s, t, c, d)
+                    verdicts[got is not None] += 1
+                    cases += 1
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+@pytest.mark.parametrize(
+    "x, holds",
+    [
+        (CirclePoint.quadratic(6, -1, 37, 2), True),  # (6 - sqrt 2)/37 < 1/8
+        (CirclePoint.quadratic(3, 1, 35, 2), False),  # (3 + sqrt 2)/35 > 1/8
+    ],
+)
+def test_null_claim_straddling_its_envelope_is_compared_exactly(monkeypatch, x, holds):
+    n, envelope = 3, Fraction(1, 8)
+    value = SurdSum.from_point(x)
+    lo, hi, scale = value.norm_bracket(Fraction(1, 2 ** (n + 3)))
+    assert lo << n <= scale < hi << n  # the bracket at 2^-(n+3) straddles 2^-n
+    assert (value.norm_cmp(envelope) <= 0) == holds
+    calls = []
+    original = SurdSum.norm_cmp
+
+    def counted(self, fr):
+        calls.append(fr)
+        return original(self, fr)
+
+    monkeypatch.setattr(SurdSum, "norm_cmp", counted)
+    # norm(<1, x>) is about 1/8, so terms 0, 1, 2 hold by their brackets
+    rows = _verify_terms(Constant((1,)), _topology((x,)), n + 1)
+    assert calls == [envelope]
+    assert (rows is not None) == holds
+    if holds:
+        assert rows[n][1] == (Fraction(hi, scale),)
+
+
+@pytest.mark.parametrize(
+    "x, holds",
+    [
+        (CirclePoint.quadratic(3, 1, 13, 2), True),  # (3 + sqrt 2)/13 > 1/3
+        (CirclePoint.quadratic(6, -1, 14, 2), False),  # (6 - sqrt 2)/14 < 1/3
+    ],
+)
+def test_escape_claim_straddling_delta_is_compared_exactly(monkeypatch, x, holds):
+    delta = Fraction(1, 3)
+    value = SurdSum.from_point(x)
+    lo, hi, scale = value.norm_bracket(delta / 8)
+    assert 3 * lo < scale < 3 * hi  # the bracket at delta/8 straddles delta
+    assert (value.norm_cmp(delta) >= 0) == holds
+    calls = []
+    original = SurdSum.norm_cmp
+
+    def counted(self, fr):
+        calls.append(fr)
+        return original(self, fr)
+
+    monkeypatch.setattr(SurdSum, "norm_cmp", counted)
+    # no characters: only the escape claim is tested, once for the constant
+    rows = _verify_terms(Constant((1,)), _topology(), 4, (x,), delta)
+    assert calls == [delta]
+    assert (rows is not None) == holds
+    if holds:
+        assert [row[2] for row in rows] == [Fraction(lo, scale)] * 4

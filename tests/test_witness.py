@@ -188,7 +188,17 @@ def test_check_witness_rejects_tampering():
     )
     # the sequence ends one term before its certificates do
     short = replace(w, sequence=Explicit(tuple(tc.term for tc in w.null_certificate[:-1])))
-    tampered = {
+    # 0.5 == Fraction(1, 2), but a certificate holds no floating point
+    floats = {
+        "threshold as a float": replace(w, escape_threshold=0.5),
+        "envelopes as floats": replace(w, null_certificate=tuple(
+            replace(tc, envelope=float(tc.envelope)) for tc in w.null_certificate
+        )),
+        "term thresholds as floats": replace(w, escape_certificate=tuple(
+            replace(tc, threshold=0.5) for tc in w.escape_certificate
+        )),
+    }
+    tampered = {name: (bad, chi) for name, bad in floats.items()} | {
         "escape threshold raised": (worse, chi),
         "envelopes shrunk": (shifted, chi),
         "chi with three coordinates on Z^1": (w, chi + (rat(0), rat(0))),
@@ -200,6 +210,42 @@ def test_check_witness_rejects_tampering():
 
 
 # the ladder experiment ----------------------------------------------------------
+
+
+def test_float_fields_are_refused_without_raising():
+    t = topo((rat(1, 3),))
+    chi = (rat(1, 2),)
+    w = find_witness(t, chi, Fraction(1, 2))
+    assert check_witness(w, t, chi)
+    float_envelopes = tuple(replace(tc, envelope=float(tc.envelope)) for tc in w.null_certificate)
+    for bad in (
+        replace(w, escape_threshold=0.5),
+        replace(w, null_certificate=float_envelopes),
+    ):
+        assert check_witness(bad, t, chi) is False
+
+
+def test_constant_witness_makes_one_bracket_per_value(monkeypatch):
+    # a rational (2, 2) topology whose witness is a 48-term annihilator
+    t = PrecompactTopology.on_free(2, [(rat(1, 2), rat(1, 3)), (rat(1, 4), rat(0))])
+    chi = (rat(1, 5), rat(0))
+    calls = Counter()
+    for name in ("norm_bracket", "norm_enclosure"):
+        original = getattr(SurdSum, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(SurdSum, name, counted)
+    w = find_witness(t, chi, Fraction(1, 5))
+    assert w.strategy == "annihilator" and isinstance(w.sequence, Constant)
+    assert len(w.null_certificate) == 48
+    # one bracket per generator pairing and one for the chi pairing
+    assert calls["norm_bracket"] <= len(t.characters) + 1
+    assert calls["norm_enclosure"] == 0
+    monkeypatch.undo()
+    assert check_witness(w, t, chi)
 
 
 def test_repeated_term_changed_is_refused():
