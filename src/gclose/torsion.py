@@ -1206,9 +1206,10 @@ def _verify_terms(
     bound is hi/scale.  norm(<u_n, chi>) >= delta = p/q reads the bracket at
     delta/8: it holds if lo*q >= p*scale, fails if hi*q < p*scale, and its
     bound is lo/scale.  Only a bracket that straddles its threshold is
-    compared exactly, by norm_cmp.  A rational bracket is exact at any
-    tolerance, so a repeated term with rational generator pairings keeps
-    its brackets and tests only hi*2^n <= scale again."""
+    compared exactly, by norm_cmp.  The brackets of one call share one root
+    table, as a scan's do.  A rational bracket is exact at any tolerance,
+    so a repeated term with rational generator pairings keeps its brackets
+    and tests only hi*2^n <= scale again."""
     k = topology.ambient.free_rank
     if count < 1:
         return None
@@ -1216,7 +1217,7 @@ def _verify_terms(
         len(chi) != k or not isinstance(delta, Fraction) or not 0 < delta <= Fraction(1, 2)
     ):
         return None
-    rows = []
+    rows, roots = [], {}
     previous = None
     try:
         for n, term in enumerate(islice(seq.walk(0, 1), count)):
@@ -1227,12 +1228,12 @@ def _verify_terms(
                 exact = all(v.is_rational() for v in values)
                 brackets = lower = None
                 if chi is not None:
-                    lower = _escape_lower(pair(term, chi), delta)
+                    lower = _escape_lower(pair(term, chi), delta, roots)
                     if lower is None:
                         return None
                 previous = term
             if brackets is None or not exact:
-                brackets = _null_brackets(values, n)
+                brackets = _null_brackets(values, n, roots)
                 if brackets is None:
                     return None
                 uppers = tuple(Fraction(hi, scale) for hi, scale in brackets)
@@ -1244,24 +1245,26 @@ def _verify_terms(
     return rows if len(rows) == count else None  # None if seq ended early
 
 
-def _null_brackets(values: tuple[SurdSum, ...], n: int) -> list[tuple[int, int]] | None:
+def _null_brackets(
+    values: tuple[SurdSum, ...], n: int, roots: dict
+) -> list[tuple[int, int]] | None:
     """(hi, scale) of each value's norm bracket at 2^-(n+3), or None when a
     claim norm <= 2^-n fails."""
     tol = Fraction(1, 1 << (n + 3))
     out = []
     for v in values:
-        lo, hi, scale = v.norm_bracket(tol)
+        lo, hi, scale = v.norm_bracket(tol, roots)
         if hi << n > scale and (lo << n > scale or v.norm_cmp(Fraction(1, 1 << n)) > 0):
             return None
         out.append((hi, scale))
     return out
 
 
-def _escape_lower(value: SurdSum, delta: Fraction) -> Fraction | None:
+def _escape_lower(value: SurdSum, delta: Fraction, roots: dict) -> Fraction | None:
     """lo/scale of value's norm bracket at delta/8, or None when the claim
     norm >= delta fails."""
     p, q = delta.numerator, delta.denominator
-    lo, hi, scale = value.norm_bracket(delta / 8)
+    lo, hi, scale = value.norm_bracket(delta / 8, roots)
     if lo * q < p * scale and (hi * q < p * scale or value.norm_cmp(delta) < 0):
         return None
     return Fraction(lo, scale)

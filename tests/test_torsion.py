@@ -67,6 +67,7 @@ from gclose.torsion import (
     _summarize_cycle,
     _verify_terms,
 )
+from gclose.witness import Witness, find_witness
 
 GOLDEN = CirclePoint.quadratic(-1, 1, 2, 5)
 SQRT2M1 = CirclePoint.quadratic(-1, 1, 1, 2)
@@ -1629,8 +1630,6 @@ def _perturbed(terms, rng):
 
 
 def test_verify_terms_matches_the_reference():
-    from gclose.witness import Witness, find_witness
-
     rng = random.Random(2929)
     deltas = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 12), Fraction(1, 30))
     cases, verdicts = 0, Counter()
